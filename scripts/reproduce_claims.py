@@ -6,7 +6,7 @@ their default ranges, prints each fitted exponent next to the claimed one,
 and (optionally) drops the raw sweep CSVs into a results directory.
 
 Usage:
-    python3 scripts/reproduce_claims.py [--out-dir results] [--threads 4]
+    python3 scripts/reproduce_claims.py [--out-dir results]
 """
 
 import argparse
@@ -39,7 +39,6 @@ def report(label: str, claimed: float, points, out_dir, fname: str) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default=None, help="write sweep CSVs here")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     out = None
@@ -60,13 +59,13 @@ def main() -> int:
 
     print("== best L2 constants (spectral) ==")
     report("cusped domain, d/dy factor", 4.0,
-           sweep_factor(koornwinder(), "y", range(4, 15), threads=args.threads),
+           sweep_factor(koornwinder(), "y", range(4, 15)),
            out, "factor_koorn_y.csv")
     report("weighted triangle, d/du factor", 2.0,
-           sweep_factor(simplex_weighted(), "x", range(4, 17), threads=args.threads),
+           sweep_factor(simplex_weighted(), "x", range(4, 17)),
            out, "factor_simplex_u.csv")
     report("weighted triangle, weight-ratio factor", 2.0,
-           sweep_schur(range(4, 17), threads=args.threads), out, "schur.csv")
+           sweep_schur(range(4, 17)), out, "schur.csv")
 
     print("\nfitted slopes approach the claimed exponents from below; widening the")
     print("degree ranges moves every fit upward (the claims are asymptotic).")

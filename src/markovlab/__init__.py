@@ -54,7 +54,9 @@ from .spectral import (
     gram,
     jacobi_eigenvalues,
     l2_markov_factor,
+    l2_markov_sweep,
     l2_schur_factor,
+    l2_schur_sweep,
     markov_witness,
 )
 
@@ -98,7 +100,9 @@ __all__ = [
     "gram",
     "jacobi_eigenvalues",
     "l2_markov_factor",
+    "l2_markov_sweep",
     "l2_schur_factor",
+    "l2_schur_sweep",
     "markov_witness",
     "FitResult",
     "SweepAborted",

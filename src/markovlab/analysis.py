@@ -5,13 +5,12 @@ polynomial degree for the extremal families (5k-4, 5k-3, n+1), the space
 degree n for the eigen factor sweeps. fit_exponent is a plain log-log OLS.
 
 verify_all drives the acceptance criteria and returns a timestamp-free
-report whose serialization is byte-identical across thread counts.
+report whose serialization is byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -33,7 +32,9 @@ from .spectral import (
     dense_markov_oracle,
     dense_schur_oracle,
     l2_markov_factor,
+    l2_markov_sweep,
     l2_schur_factor,
+    l2_schur_sweep,
     markov_witness,
 )
 
@@ -174,68 +175,32 @@ def sweep_extremal(
     ]
 
 
-def _collect_ordered(fn, items, threads: int) -> list[FactorPoint]:
-    items = [int(n) for n in items]
-    results: list[FactorPoint] = []
-    if threads <= 1:
-        for n in items:
-            try:
-                results.append(fn(n))
-            except ConditioningError as e:
-                raise SweepAborted(results, n, str(e)) from e
-        return results
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, n) for n in items]
-        for n, fut in zip(items, futures):
-            try:
-                results.append(fut.result())
-            except ConditioningError as e:
-                for later in futures:
-                    later.cancel()
-                raise SweepAborted(results, n, str(e)) from e
-    return results
-
-
 def sweep_factor(
     domain: Domain,
     axis: str,
     n_range,
     *,
-    threads: int = 1,
     tol: float = 1e-10,
-    max_iter: int = 500,
     cond_limit: float = 1e13,
 ) -> list[FactorPoint]:
-    """l2_markov_factor over n_range, optionally in parallel.
+    """l2_markov_factor over n_range from one nested factorization
+    (spectral.l2_markov_sweep), in input order.
 
-    Output order always follows the input order and values are independent
-    of the worker count. A conditioning failure aborts with the completed
-    prefix attached (SweepAborted).
+    A conditioning or residual failure aborts with the completed prefix
+    attached (SweepAborted).
     """
-    return _collect_ordered(
-        lambda n: l2_markov_factor(
-            n, axis, domain, tol=tol, max_iter=max_iter, cond_limit=cond_limit
-        ),
-        n_range,
-        threads,
-    )
+    try:
+        return l2_markov_sweep(domain, axis, n_range, tol=tol, cond_limit=cond_limit)
+    except ConditioningError as e:
+        raise SweepAborted(e.partial, e.n, str(e)) from e
 
 
-def sweep_schur(
-    n_range,
-    *,
-    threads: int = 1,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    cond_limit: float = 1e13,
-) -> list[FactorPoint]:
-    return _collect_ordered(
-        lambda n: l2_schur_factor(
-            n, tol=tol, max_iter=max_iter, cond_limit=cond_limit
-        ),
-        n_range,
-        threads,
-    )
+def sweep_schur(n_range, *, tol: float = 1e-10, cond_limit: float = 1e13) -> list[FactorPoint]:
+    """l2_schur_factor over n_range, aborting as sweep_factor does."""
+    try:
+        return l2_schur_sweep(n_range, tol=tol, cond_limit=cond_limit)
+    except ConditioningError as e:
+        raise SweepAborted(e.partial, e.n, str(e)) from e
 
 
 def format_factor_csv_rows(points: list[FactorPoint]) -> list[list[str]]:
@@ -431,13 +396,12 @@ def _c4_extremal_fit(cfg: LabConfig, _rng):
     )
 
 
-def _c5_koornwinder(cfg: LabConfig, _rng, threads: int):
+def _c5_koornwinder(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     lo, hi = acc.koornwinder_degree_range
     pts = sweep_factor(
-        koornwinder(), "y", range(lo, hi + 1), threads=threads,
+        koornwinder(), "y", range(lo, hi + 1),
         tol=cfg.power_iteration.tolerance,
-        max_iter=cfg.power_iteration.max_iterations,
         cond_limit=cfg.power_iteration.condition_limit,
     )
     fit = fit_exponent(pts)
@@ -457,7 +421,7 @@ def _c5_koornwinder(cfg: LabConfig, _rng, threads: int):
     )
 
 
-def _c6_simplex(cfg: LabConfig, _rng, threads: int):
+def _c6_simplex(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     lo, hi = acc.simplex_degree_range
     wlo, whi = acc.simplex_slope_window
@@ -466,9 +430,8 @@ def _c6_simplex(cfg: LabConfig, _rng, threads: int):
     details = []
     for axis in ("x", "y"):
         pts = sweep_factor(
-            simplex_weighted(), axis, range(lo, hi + 1), threads=threads,
+            simplex_weighted(), axis, range(lo, hi + 1),
             tol=cfg.power_iteration.tolerance,
-            max_iter=cfg.power_iteration.max_iterations,
             cond_limit=cfg.power_iteration.condition_limit,
         )
         fit = fit_exponent(pts)
@@ -485,20 +448,15 @@ def _c6_simplex(cfg: LabConfig, _rng, threads: int):
     )
 
 
-def _c7_schur(cfg: LabConfig, _rng, threads: int):
+def _c7_schur(cfg: LabConfig, _rng):
     acc = cfg.acceptance
-    base = l2_schur_factor(
-        0,
-        tol=cfg.power_iteration.tolerance,
-        max_iter=cfg.power_iteration.max_iterations,
-    ).value
+    base = l2_schur_factor(0, tol=cfg.power_iteration.tolerance).value
     base_expect = math.sqrt(5.0 / 6.0)
     base_err = _rel_err(base, base_expect)
     lo, hi = acc.schur_degree_range
     pts = sweep_schur(
-        range(lo, hi + 1), threads=threads,
+        range(lo, hi + 1),
         tol=cfg.power_iteration.tolerance,
-        max_iter=cfg.power_iteration.max_iterations,
         cond_limit=cfg.power_iteration.condition_limit,
     )
     fit = fit_exponent(pts)
@@ -559,19 +517,15 @@ def _c10_oracle(cfg: LabConfig, _rng):
     for dom in (koornwinder(), simplex_weighted()):
         for axis in ("x", "y"):
             for n in range(1, acc.oracle_max_degree + 1):
-                fast = l2_markov_factor(
-                    n, axis, dom, tol=pw.tolerance, max_iter=pw.max_iterations
-                ).value
+                fast = l2_markov_factor(n, axis, dom, tol=pw.tolerance).value
                 slow = dense_markov_oracle(n, axis, dom)
                 worst_eigen = max(worst_eigen, _rel_err(fast, slow))
     for n in range(0, acc.oracle_max_degree + 1):
-        fast = l2_schur_factor(n, tol=pw.tolerance, max_iter=pw.max_iterations).value
+        fast = l2_schur_factor(n, tol=pw.tolerance).value
         slow = dense_schur_oracle(n)
         worst_eigen = max(worst_eigen, _rel_err(fast, slow))
     for n in range(1, acc.oracle_max_degree + 1):
-        point, poly = markov_witness(
-            n, "y", koornwinder(), tol=pw.tolerance, max_iter=pw.max_iterations
-        )
+        point, poly = markov_witness(n, "y", koornwinder(), tol=pw.tolerance)
         ratio = markov_ratio(poly, "y", NormSpec(2.0, koornwinder()))
         worst_witness = max(worst_witness, _rel_err(ratio, point.value))
     passed = worst_eigen <= acc.oracle_rtol and worst_witness <= acc.oracle_rtol
@@ -579,64 +533,75 @@ def _c10_oracle(cfg: LabConfig, _rng):
         "max_eigen_rel_err": worst_eigen,
         "max_witness_rel_err": worst_witness,
     }, (
-        f"power iteration vs dense Jacobi-rotation oracle within "
+        f"extended-precision eigen engine vs dense Jacobi-rotation oracle within "
         f"{worst_eigen:.2e}; witness polynomials reproduce their ratios "
         f"within {worst_witness:.2e} (tol {acc.oracle_rtol:.0e}, n <= "
         f"{acc.oracle_max_degree})"
     )
 
 
-def _c11_determinism(cfg: LabConfig, _rng, threads: int):
+def _c11_determinism(cfg: LabConfig, _rng):
+    """The nested sweeps against independent per-degree solves, and two
+    reruns of each against each other, cell for cell."""
+    pw = cfg.power_iteration
     ns = range(2, 7)
-    rows = []
-    for t in (1, max(8, threads)):
-        pts = sweep_schur(
-            ns, threads=t,
-            tol=cfg.power_iteration.tolerance,
-            max_iter=cfg.power_iteration.max_iterations,
+    sweeps = (
+        (lambda: sweep_schur(ns, tol=pw.tolerance),
+         lambda n: l2_schur_factor(n, tol=pw.tolerance)),
+        (lambda: sweep_factor(koornwinder(), "y", ns, tol=pw.tolerance),
+         lambda n: l2_markov_factor(n, "y", koornwinder(), tol=pw.tolerance)),
+    )
+    worst = 0.0
+    identical = True
+    for sweep, single in sweeps:
+        pts = sweep()
+        for pt in pts:
+            worst = max(worst, _rel_err(pt.value, single(pt.n).value))
+        identical = identical and (
+            format_factor_csv_rows(pts) == format_factor_csv_rows(sweep())
         )
-        rows.append(format_factor_csv_rows(pts))
-    identical = rows[0] == rows[1]
-    return identical, {"bytes_identical": identical, "n_items": len(list(ns))}, (
-        "representative parallel sweep renders byte-identical CSV cells for "
-        f"1 vs 8 workers: {identical}"
+    rtol = cfg.acceptance.oracle_rtol
+    passed = identical and worst <= rtol
+    return passed, {
+        "bytes_identical": identical,
+        "max_sweep_vs_single_rel_err": worst,
+        "n_items": len(ns),
+    }, (
+        "Schur and omega-y sweeps over n in [2, 6] match per-degree solves "
+        f"within {worst:.2e} (tol {rtol:.0e}); reruns render byte-identical "
+        f"CSV cells: {identical}"
     )
 
 
 _CRITERIA = {
-    1: ("geometry-exactness", _c1_geometry, False),
-    2: ("derivative-pullback-identities", _c2_identities, False),
-    3: ("cusp-sharpness", _c3_sharpness, False),
-    4: ("extremal-exponent-fit", _c4_extremal_fit, False),
-    5: ("koornwinder-l2-exponent", _c5_koornwinder, True),
-    6: ("simplex-l2-exponent", _c6_simplex, True),
-    7: ("schur-factor", _c7_schur, True),
-    8: ("delta-l-ratio-exponent", _c8_wn, False),
-    9: ("bernoulli-sandwich", _c9_sandwich, False),
-    10: ("oracle-equivalence", _c10_oracle, False),
-    11: ("determinism", _c11_determinism, True),
+    1: ("geometry-exactness", _c1_geometry),
+    2: ("derivative-pullback-identities", _c2_identities),
+    3: ("cusp-sharpness", _c3_sharpness),
+    4: ("extremal-exponent-fit", _c4_extremal_fit),
+    5: ("koornwinder-l2-exponent", _c5_koornwinder),
+    6: ("simplex-l2-exponent", _c6_simplex),
+    7: ("schur-factor", _c7_schur),
+    8: ("delta-l-ratio-exponent", _c8_wn),
+    9: ("bernoulli-sandwich", _c9_sandwich),
+    10: ("oracle-equivalence", _c10_oracle),
+    11: ("determinism", _c11_determinism),
 }
 
 
-def verify_all(
-    config: LabConfig | None = None, *, threads: int = 1, seed: int | None = None
-) -> VerifyReport:
+def verify_all(config: LabConfig | None = None, *, seed: int | None = None) -> VerifyReport:
     """Run the configured acceptance criteria; failures are report entries,
     never exceptions. The report carries no timestamps so that repeated runs
-    (any thread count) serialize to identical bytes."""
+    serialize to identical bytes."""
     cfg = config if config is not None else default_config()
     cfg.validate()
     use_seed = cfg.acceptance.seed if seed is None else int(seed)
     results: list[CriterionResult] = []
     durations: dict[int, float] = {}
     for cid in cfg.acceptance.criteria:
-        name, fn, takes_threads = _CRITERIA[cid]
+        name, fn = _CRITERIA[cid]
         rng = np.random.default_rng([use_seed, cid])
         t0 = perf_counter()
-        if takes_threads:
-            passed, measured, details = fn(cfg, rng, threads)
-        else:
-            passed, measured, details = fn(cfg, rng)
+        passed, measured, details = fn(cfg, rng)
         durations[cid] = perf_counter() - t0
         results.append(CriterionResult(cid, name, bool(passed), measured, details))
     return VerifyReport(

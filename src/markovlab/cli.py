@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: area, extremal, factor, verify, config. Data goes to CSV
-(RFC-4180-style, 15 significant digits, byte-identical across reruns and
-thread counts); fit footers and verify reports are JSON. Commands that write
+(RFC-4180-style, 15 significant digits, byte-identical across reruns); fit
+footers and verify reports are JSON. Commands that write
 an output file also write `<out>.manifest.json` describing the run.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
@@ -248,15 +248,11 @@ def cmd_factor(args) -> int:
     params = {"domain": args.domain, "axis": args.axis, "n": args.n, "l": args.l}
     try:
         if args.domain == "schur":
-            points = sweep_schur(
-                ns, threads=args.threads, tol=pw.tolerance,
-                max_iter=pw.max_iterations, cond_limit=pw.condition_limit,
-            )
+            points = sweep_schur(ns, tol=pw.tolerance, cond_limit=pw.condition_limit)
         else:
             domain = _domain_from_name(args.domain, args.l)
             points = sweep_factor(
-                domain, args.axis, ns, threads=args.threads, tol=pw.tolerance,
-                max_iter=pw.max_iterations, cond_limit=pw.condition_limit,
+                domain, args.axis, ns, tol=pw.tolerance, cond_limit=pw.condition_limit
             )
     except SweepAborted as e:
         out, digest = _emit_csv(format_factor_csv_rows(e.partial), args.out)
@@ -278,7 +274,7 @@ def cmd_factor(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
-    report = verify_all(cfg, threads=args.threads, seed=args.seed)
+    report = verify_all(cfg, seed=args.seed)
     for r in report.results:
         tag = "PASS" if r.passed else "FAIL"
         print(f"[{tag}] criterion {r.cid} ({r.name}): {r.details}")
@@ -341,14 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", choices=("x", "y"), default="y")
     sp.add_argument("--n", required=True, metavar="A:B")
     sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", metavar="FILE")
     _add_common(sp)
     sp.set_defaults(fn=cmd_factor)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria")
     sp.add_argument("--json", metavar="FILE", help="write the full report here")
-    sp.add_argument("--threads", type=int, default=1)
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)
 

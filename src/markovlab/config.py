@@ -57,15 +57,17 @@ class SupGridConfig:
 
 @dataclass(frozen=True)
 class PowerIterationConfig:
+    """Gates of the spectral factor solves (the section keeps its historical
+    name). A degree is refused, like a conditioning failure, when its
+    relative eigen residual ||M v - theta v|| / theta exceeds `tolerance`
+    or its triangular-factor diagonal spreads past `condition_limit`."""
+
     tolerance: float = 1e-10
-    max_iterations: int = 500
     condition_limit: float = 1e13
 
     def validate(self) -> None:
         if not (0 < self.tolerance < 1):
-            raise ConfigError("power-iteration tolerance must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+            raise ConfigError("residual tolerance must be in (0, 1)")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
 

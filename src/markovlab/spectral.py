@@ -9,16 +9,30 @@ by n ~ 8), and the pencil is solved inverse-free:
     G = R^T R with R from a modified Gram-Schmidt QR of sqrt(W) B, where B
     is the basis-by-node value matrix of an exact quadrature rule, so R is
     the Cholesky factor of G computed at the square root of its condition
-    number; A stays in the factored form C^T C; power iteration runs on
-    R^{-T} C^T C R^{-1}.
+    number; A stays in the factored form C^T C, and the symmetric operator
+    is M = K^T K with K = sqrt(W) C R^{-1}, formed by triangular solves.
 
-The entire pipeline runs in numpy.longdouble (80-bit extended on x86),
+The basis is graded, so the degree-n basis is the first dim(n) columns of
+the degree-n_max basis. Gram-Schmidt takes columns in order, so the R of a
+column prefix is the leading block of the full R; R^{-1} is upper
+triangular as well, so the degree-n operator is the leading dim(n) block of
+M. A sweep over degrees therefore builds one rule (exact to 2 n_max), one
+node-matrix pair, one QR and one M, and reads every degree off M.
+
+Per degree, a float64 LAPACK eigh of the block only seeds the top
+eigenvector v. The value is sqrt(theta), with the Rayleigh quotient
+theta = v^T M_k v evaluated in extended precision; its error is quadratic in
+the seed's. The relative residual ||M_k v - theta v|| / theta bounds the
+distance from theta to an eigenvalue of M_k (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4), and that bound, not the seed, certifies the
+value: a degree whose residual exceeds the tolerance is refused like a
+conditioning failure.
+
+Everything but the seed runs in numpy.longdouble (80-bit extended on x86),
 which is what makes the upper sweep ends (Koornwinder n = 14, simplex and
 Schur n = 16) reachable: float64 Cholesky of the explicit Gram fails at
 Koornwinder n = 13, and even the float64 square-root path returns garbage on
-the simplex past n ~ 12. No LAPACK call sits on the critical path; every
-step is a hand loop over numpy primitives, so results are deterministic and
-dtype-faithful.
+the simplex past n ~ 12.
 
 A dense oracle path (explicit float64 Grams through the poly2d evaluators,
 hand Cholesky, cyclic Jacobi rotations) is kept deliberately separate and
@@ -42,20 +56,31 @@ __all__ = [
     "basis",
     "gram",
     "l2_markov_factor",
+    "l2_markov_sweep",
     "l2_schur_factor",
+    "l2_schur_sweep",
     "markov_witness",
     "dense_markov_oracle",
     "dense_schur_oracle",
     "jacobi_eigenvalues",
 ]
 
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 500
+RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
 
 
 class ConditioningError(Exception):
-    """Basis conditioning exhausted; reduce n."""
+    """Basis conditioning exhausted, or an eigenpair failed its residual
+    check; reduce n.
+
+    Raised by a sweep, it names the degree that failed (`n`) and carries the
+    points completed before it (`partial`).
+    """
+
+    def __init__(self, reason: str, n: int | None = None, partial=()):
+        super().__init__(reason)
+        self.n = n
+        self.partial = list(partial)
 
 
 @dataclass(frozen=True)
@@ -157,40 +182,71 @@ def _node_matrices(
 # Hand linear algebra in the working dtype.
 # ---------------------------------------------------------------------------
 
-def _mgs_r(M: np.ndarray, cond_limit: float) -> tuple[np.ndarray, np.ndarray]:
+def _mgs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR by modified Gram-Schmidt with one reorthogonalization pass.
 
-    Returns (Q, R) with R upper triangular, positive diagonal. Raises
-    ConditioningError on (numerical) rank loss or when the diagonal spread
-    exceeds cond_limit: past that point even extended precision cannot
-    certify digits, and silently degrading answers is worse than refusing.
+    Returns (Qt, R): the rows of Qt are the orthonormal columns of Q, and R
+    is upper triangular with nonnegative diagonal. Columns are taken in
+    order, so the factors of a column prefix are leading blocks of these.
+    Exact rank loss at column j stops the factorization there with
+    R[j, j] = 0, which makes the spread of every prefix through j infinite.
     """
-    N, k = M.shape
-    Q = M.astype(M.dtype, copy=True)
+    k = M.shape[1]
+    Qt = np.array(M.T)
     R = np.zeros((k, k), dtype=M.dtype)
     for j in range(k):
-        v = Q[:, j]
+        v = Qt[j]
         for _ in range(2):  # second pass restores orthogonality at high cond
             for i in range(j):
-                r = Q[:, i] @ v
+                r = Qt[i] @ v
                 R[i, j] += r
-                v = v - r * Q[:, i]
+                v = v - r * Qt[i]
         nrm = math.sqrt(float(v @ v))
         if nrm == 0.0:
-            raise ConditioningError(f"rank loss at basis column {j}; reduce n")
+            break
         R[j, j] = nrm
-        Q[:, j] = v / nrm
-    d = np.diagonal(R)
-    spread = float(d.max() / d.min())
-    if spread > cond_limit:
-        raise ConditioningError(
-            f"triangular factor spread {spread:.3e} exceeds {cond_limit:.1e}; reduce n"
-        )
-    return Q, R
+        Qt[j] = v / nrm
+    return Qt, R
+
+
+def _spread_failure(diag: np.ndarray, cond_limit: float) -> str | None:
+    """Why a triangular factor with this diagonal is refused, or None.
+
+    Past cond_limit even extended precision cannot certify digits, and
+    silently degrading answers is worse than refusing.
+    """
+    lo = diag.min()
+    spread = math.inf if lo == 0 else float(diag.max() / lo)
+    if spread <= cond_limit:
+        return None
+    return f"triangular factor spread {spread:.3e} exceeds {cond_limit:.1e}; reduce n"
+
+
+def _mgs_r(M: np.ndarray, cond_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of M by `_mgs`; raises ConditioningError when the whole
+    diagonal of R spreads past cond_limit (rank loss included).
+
+    The sweeps gate each prefix instead; perfbench/make_reference.py builds
+    its SVD cross-check on this full-matrix form.
+    """
+    Qt, R = _mgs(M)
+    reason = _spread_failure(np.diagonal(R), cond_limit)
+    if reason is not None:
+        raise ConditioningError(reason)
+    return Qt.T, R
+
+
+def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L X = B for lower-triangular L, one row of X at a time."""
+    X = np.empty_like(B)
+    for j in range(L.shape[0]):
+        X[j] = (B[j] - L[j, :j] @ X[:j]) / L[j, j]
+    return X
 
 
 def _upper_inverse(R: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular matrix by back substitution."""
+    """Inverse of an upper-triangular matrix by back substitution, solving
+    R X = I for the rows of X from the bottom up."""
     k = R.shape[0]
     X = np.zeros_like(R)
     for i in range(k - 1, -1, -1):
@@ -202,37 +258,10 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     return X
 
 
-def _power_top(apply_m, dim: int, tol: float, max_iter: int):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Deterministic all-ones start; Rayleigh-quotient convergence test. At the
-    iteration cap the best current estimate is returned (the caller treats
-    only conditioning as an error); convergence state is reported back.
-    """
-    v = np.ones(dim, dtype=np.longdouble)
-    v /= math.sqrt(float(v @ v))
-    lam_prev = np.longdouble(0.0)
-    lam = lam_prev
-    iters = 0
-    converged = False
-    for iters in range(1, max_iter + 1):
-        w = apply_m(v)
-        nrm = math.sqrt(float(w @ w))
-        if nrm == 0.0:
-            return np.longdouble(0.0), v, iters, True
-        lam = v @ w
-        v = w / nrm
-        if iters > 1 and abs(float(lam - lam_prev)) <= tol * max(1.0, abs(float(lam))):
-            converged = True
-            break
-        lam_prev = lam
-    return lam, v, iters, converged
-
-
 def jacobi_eigenvalues(A: np.ndarray, sweeps: int = 60) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    The oracle eigensolver: independent of the power-iteration path. Works
+    The oracle eigensolver: independent of the LAPACK-seeded engine. Works
     in the dtype of A; intended for the small dimensions of the oracle
     checks, where it converges to machine precision in a few sweeps.
     """
@@ -323,46 +352,135 @@ def gram(
 
 
 # ---------------------------------------------------------------------------
-# Factor computations (extended-precision factored pencils).
+# Factor computations: the nested sweep engine (extended precision).
 # ---------------------------------------------------------------------------
 
-def _pencil_top(
-    B_num: np.ndarray,
-    w_num: np.ndarray,
-    B_den: np.ndarray,
-    w_den: np.ndarray,
+def _degrees(ns) -> list[int]:
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError("n must be >= 0")
+    return ns
+
+
+def _markov_pencil(domain: Domain, axis: str, n_max: int):
+    """(sqrt(W) C, sqrt(W) B): derivative and value matrices of the
+    degree-n_max basis on one rule exact to 2 n_max."""
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    wp = 1 if domain.kind == "simplex-weighted" else None
+    rule = quad_rule(domain, 2 * n_max, wp, dtype=np.longdouble)
+    x, y = rule.eval_points()
+    sx, sy = domain.bounding_half_widths()
+    B, C = _node_matrices(_graded_indices(n_max), x, y, sx, sy, axis)
+    sw = np.sqrt(rule.weights)[:, None]
+    C *= sw
+    B *= sw
+    return C, B
+
+
+def _schur_pencil(n_max: int):
+    """(sqrt(W1) B1, sqrt(W3) B3): the degree-n_max basis on the weighted
+    simplex under the intrinsic weight w and under w^3 = w (v - u)^2."""
+    dom = simplex_weighted()
+    idx = _graded_indices(n_max)
+    mats = []
+    for wp in (1, 3):
+        rule = quad_rule(dom, 2 * n_max, wp, dtype=np.longdouble)
+        B, _ = _node_matrices(idx, *rule.eval_points(), 1.0, 1.0, None)
+        B *= np.sqrt(rule.weights)[:, None]
+        mats.append(B)
+    return mats[0], mats[1]
+
+
+def _scaled(num: np.ndarray, den: np.ndarray, column_scaling):
+    if column_scaling is None:
+        return num, den
+    sc = np.asarray(column_scaling, dtype=num.dtype)
+    if sc.shape != (num.shape[1],) or np.any(sc <= 0):
+        raise ValueError("column_scaling must be positive, one per basis element")
+    return num * sc, den * sc
+
+
+def _nested_tops(ns: list[int], num: np.ndarray, den: np.ndarray, *, tol, cond_limit):
+    """The top of the pencil (N_k^T N_k, D_k^T D_k) for every n in ns, where
+    N_k and D_k are the first k = dim(n) columns of num and den.
+
+    Returns R (the QR factor of den) and one (n, value, v) per degree, v the
+    unit top eigenvector of M_k = K_k^T K_k, K_k = N_k R_k^{-1}. Degrees are
+    taken in the order given; the first whose R prefix spreads past
+    cond_limit, or whose relative eigen residual exceeds tol, raises
+    ConditioningError carrying the points completed before it.
+    """
+    _, R = _mgs(den)
+    diag = np.diagonal(R)
+    dims = [space_dimension(n) for n in ns]
+    failure = None
+    ok = len(ns)
+    for i, (n, k) in enumerate(zip(ns, dims)):
+        reason = _spread_failure(diag[:k], cond_limit)
+        if reason is not None:
+            failure, ok = (n, reason), i
+            break
+    k_top = max(dims[:ok], default=0)
+    Kt = _forward_solve(R[:k_top, :k_top].T, num[:, :k_top].T)
+    M = Kt @ Kt.T
+    del Kt
+    done = []
+    for n, k in zip(ns[:ok], dims):
+        Mk = M[:k, :k]
+        _, V = np.linalg.eigh(Mk.astype(np.float64))  # seed only
+        v = V[:, -1].astype(np.longdouble)
+        v /= np.sqrt(v @ v)
+        Mv = Mk @ v
+        theta = v @ Mv
+        r = Mv - theta * v
+        res = np.sqrt(r @ r)
+        bound = float(res / theta) if theta > 0 else (0.0 if res == 0 else math.inf)
+        if not bound <= tol:
+            failure = (n, f"eigen residual {bound:.1e} exceeds {tol:.1e}; reduce n")
+            break
+        done.append((n, float(np.sqrt(max(theta, 0))), v))
+    if failure is not None:
+        n, reason = failure
+        partial = [FactorPoint(m, value, "eigen") for m, value, _ in done]
+        raise ConditioningError(reason, n, partial)
+    return R, done
+
+
+def l2_markov_sweep(
+    domain: Domain,
+    axis: str,
+    ns,
     *,
-    tol: float,
-    max_iter: int,
-    cond_limit: float,
-    column_scaling=None,
-):
-    """sqrt of the top generalized eigenvalue of (N^T N, D^T D) where
-    N = sqrt(w_num) B_num and D = sqrt(w_den) B_den, plus the eigenvector
-    in basis coordinates."""
-    C = np.sqrt(w_num)[:, None] * B_num
-    S = np.sqrt(w_den)[:, None] * B_den
-    if column_scaling is not None:
-        sc = np.asarray(column_scaling, dtype=C.dtype)
-        if sc.shape != (C.shape[1],) or np.any(sc <= 0):
-            raise ValueError("column_scaling must be positive, one per basis element")
-        C = C * sc[None, :]
-        S = S * sc[None, :]
-    _, R = _mgs_r(S, cond_limit)
-    Rinv = _upper_inverse(R)
-    RinvT = Rinv.T
+    tol: float = RESIDUAL_TOL,
+    cond_limit: float = COND_LIMIT,
+) -> list[FactorPoint]:
+    """l2_markov_factor for every degree in ns, in the order given, from one
+    factorization at max(ns); see the module docstring.
 
-    def apply_m(v):
-        u = Rinv @ v
-        z = C @ u
-        return RinvT @ (C.T @ z)
+    A degree whose triangular-factor spread exceeds cond_limit, or whose
+    relative eigen residual exceeds tol, raises ConditioningError with that
+    degree as `n` and the points completed before it as `partial`.
+    """
+    ns = _degrees(ns)
+    if not ns:
+        return []
+    num, den = _markov_pencil(domain, axis, max(ns))
+    _, done = _nested_tops(ns, num, den, tol=tol, cond_limit=cond_limit)
+    return [FactorPoint(n, value, "eigen") for n, value, _ in done]
 
-    lam, v, iters, converged = _power_top(apply_m, R.shape[0], tol, max_iter)
-    coeffs = Rinv @ v
-    if column_scaling is not None:
-        coeffs = coeffs * sc
-    value = math.sqrt(max(float(lam), 0.0))
-    return value, coeffs, iters, converged
+
+def l2_schur_sweep(
+    ns, *, tol: float = RESIDUAL_TOL, cond_limit: float = COND_LIMIT
+) -> list[FactorPoint]:
+    """l2_schur_factor for every degree in ns, from one factorization at
+    max(ns); aborts as l2_markov_sweep does."""
+    ns = _degrees(ns)
+    if not ns:
+        return []
+    num, den = _schur_pencil(max(ns))
+    _, done = _nested_tops(ns, num, den, tol=tol, cond_limit=cond_limit)
+    return [FactorPoint(n, value, "eigen") for n, value, _ in done]
 
 
 def l2_markov_factor(
@@ -370,8 +488,7 @@ def l2_markov_factor(
     axis: str,
     domain: Domain,
     *,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
+    tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
     column_scaling=None,
 ) -> FactorPoint:
@@ -379,12 +496,11 @@ def l2_markov_factor(
 
     Norms are the domain's intrinsic L2 norms (weight w on the weighted
     simplex). The value is sqrt of the top eigenvalue of the derivative
-    pencil; see the module docstring for the solve.
+    pencil, solved as a one-degree sweep; see the module docstring.
     """
-    value, _ = _markov_solve(
-        n, axis, domain, tol=tol, max_iter=max_iter,
-        cond_limit=cond_limit, column_scaling=column_scaling,
-    )
+    [n] = _degrees([n])
+    num, den = _scaled(*_markov_pencil(domain, axis, n), column_scaling)
+    _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
     return FactorPoint(n, value, "eigen")
 
 
@@ -393,67 +509,32 @@ def markov_witness(
     axis: str,
     domain: Domain,
     *,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
+    tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
 ) -> tuple[FactorPoint, BivariatePoly]:
     """The factor together with an extremal polynomial realizing it."""
-    value, coeffs = _markov_solve(
-        n, axis, domain, tol=tol, max_iter=max_iter,
-        cond_limit=cond_limit, column_scaling=None,
-    )
-    polys = basis(n, domain)
+    [n] = _degrees([n])
+    num, den = _markov_pencil(domain, axis, n)
+    R, [(_, value, v)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
+    coeffs = _upper_inverse(R) @ v
     acc = BivariatePoly.zero()
-    for c, p in zip(np.asarray(coeffs, dtype=np.float64), polys):
+    for c, p in zip(np.asarray(coeffs, dtype=np.float64), basis(n, domain)):
         acc = acc + p.scale(float(c))
     return FactorPoint(n, value, "eigen"), acc
-
-
-def _markov_solve(n, axis, domain, *, tol, max_iter, cond_limit, column_scaling):
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0.0, np.ones(1)
-    idx = _graded_indices(n)
-    sx, sy = domain.bounding_half_widths()
-    wp = 1 if domain.kind == "simplex-weighted" else None
-    rule = quad_rule(domain, 2 * n, wp, dtype=np.longdouble)
-    x, y = rule.eval_points()
-    B, C = _node_matrices(idx, x, y, sx, sy, axis)
-    return _pencil_top(
-        C, rule.weights, B, rule.weights,
-        tol=tol, max_iter=max_iter, cond_limit=cond_limit,
-        column_scaling=column_scaling,
-    )[:2]
 
 
 def l2_schur_factor(
     n: int,
     *,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
+    tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
     column_scaling=None,
 ) -> FactorPoint:
     """Best constant sup ||P||_{2,w} / ||(v-u) P||_{2,w} over degree <= n
     on the weighted simplex."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    dom = simplex_weighted()
-    idx = _graded_indices(n)
-    rule_num = quad_rule(dom, 2 * n, 1, dtype=np.longdouble)
-    rule_den = quad_rule(dom, 2 * n, 3, dtype=np.longdouble)
-    xn, yn = rule_num.eval_points()
-    xd, yd = rule_den.eval_points()
-    Bn, _ = _node_matrices(idx, xn, yn, 1.0, 1.0, None)
-    Bd, _ = _node_matrices(idx, xd, yd, 1.0, 1.0, None)
-    value, _, _, _ = _pencil_top(
-        Bn, rule_num.weights, Bd, rule_den.weights,
-        tol=tol, max_iter=max_iter, cond_limit=cond_limit,
-        column_scaling=column_scaling,
-    )
+    [n] = _degrees([n])
+    num, den = _scaled(*_schur_pencil(n), column_scaling)
+    _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
     return FactorPoint(n, value, "eigen")
 
 

@@ -23,7 +23,7 @@ RUNTIME_BUDGET = {1: 1.0, 2: 5.0, 3: 30.0, 5: 120.0, 6: 120.0, 7: 120.0, 8: 60.0
 
 @pytest.fixture(scope="session")
 def report():
-    return verify_all(default_config(), threads=1)
+    return verify_all(default_config())
 
 
 def announce(request, result) -> None:

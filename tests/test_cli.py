@@ -1,5 +1,5 @@
 """End-to-end CLI checks through subprocesses: output formats, exit codes,
-manifests, and byte-level determinism across thread counts."""
+manifests, and byte-level determinism across reruns."""
 
 import csv
 import hashlib
@@ -114,12 +114,12 @@ class TestFactor:
         assert float(rows[1][1]) == pytest.approx(3.118047822311618, rel=1e-9)
         json.loads(lines[-1])  # footer parses
 
-    def test_threads_byte_identical(self, tmp_path):
-        a, b = tmp_path / "t1.csv", tmp_path / "t8.csv"
-        run_cli("factor", "--domain", "simplex-weighted", "--axis", "x",
-                "--n", "2:8", "--threads", "1", "--out", str(a))
-        run_cli("factor", "--domain", "simplex-weighted", "--axis", "x",
-                "--n", "2:8", "--threads", "8", "--out", str(b))
+    def test_reruns_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            res = run_cli("factor", "--domain", "simplex-weighted", "--axis", "x",
+                          "--n", "2:8", "--out", str(out))
+            assert res.returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_schur_route(self):
@@ -137,6 +137,18 @@ class TestFactor:
         assert "largest completed n: 5" in res.stderr
         rows = parse_csv(out.read_text())
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
+
+    def test_conditioning_abort_at_top_degree(self, tmp_path):
+        # R-diagonal prefix spreads on omega: 1.90e4 at n=13, 3.79e4 at n=14
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({"power_iteration": {"condition_limit": 2.7e4}}))
+        out = tmp_path / "part.csv"
+        res = run_cli("factor", "--domain", "omega", "--axis", "y", "--n", "4:14",
+                      "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 3
+        assert "conditioning abort at n=14; largest completed n: 13" in res.stderr
+        rows = parse_csv(out.read_text())
+        assert [int(r[0]) for r in rows[1:]] == list(range(4, 14))
 
 
 class TestVerify:
@@ -165,16 +177,15 @@ class TestVerify:
         assert res.returncode == 1
         assert "[FAIL]" in res.stdout
 
-    def test_threads_byte_identical_reports(self, tmp_path):
+    def test_reruns_byte_identical_reports(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
-            "acceptance": {"criteria": [5], "koornwinder_degree_range": [2, 6]},
+            "acceptance": {"criteria": [5, 11], "koornwinder_degree_range": [2, 6]},
         }))
         reports = []
-        for threads in ("1", "8"):
-            rep = tmp_path / f"r{threads}.json"
-            res = run_cli("verify", "--config", str(cfg), "--json", str(rep),
-                          "--threads", threads)
+        for run in ("a", "b"):
+            rep = tmp_path / f"r{run}.json"
+            res = run_cli("verify", "--config", str(cfg), "--json", str(rep))
             reports.append((res.returncode, rep.read_bytes()))
         assert reports[0] == reports[1]
 

@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from markovlab.domains import koornwinder, simplex_weighted
+from markovlab.domains import koornwinder, quad_rule, simplex_weighted
 from markovlab.norms import NormSpec, markov_ratio
 from markovlab.spectral import (
     ConditioningError,
     FactorPoint,
+    _graded_indices,
+    _mgs_r,
+    _node_matrices,
+    _upper_inverse,
     basis,
     dense_markov_oracle,
     dense_schur_oracle,
     gram,
     jacobi_eigenvalues,
     l2_markov_factor,
+    l2_markov_sweep,
     l2_schur_factor,
+    l2_schur_sweep,
     markov_witness,
     space_dimension,
 )
@@ -157,6 +163,60 @@ class TestSchurFactor:
     def test_nondecreasing(self):
         vals = [l2_schur_factor(n).value for n in range(0, 6)]
         assert all(b >= a * (1.0 - 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+def svd_reference(n: int, axis: str, domain) -> float:
+    """Top singular value of the degree-n operator sqrt(W) C R^{-1}, built in
+    extended precision on its own rule (exact to 2n) and taken by a float64
+    SVD: no eigensolver and no nesting across degrees."""
+    rule = quad_rule(domain, 2 * n, dtype=np.longdouble)
+    sx, sy = domain.bounding_half_widths()
+    B, C = _node_matrices(_graded_indices(n), *rule.eval_points(), sx, sy, axis)
+    w = np.sqrt(rule.weights)[:, None]
+    _, R = _mgs_r(w * B, 1e300)
+    K = (w * C) @ _upper_inverse(R)
+    return float(np.linalg.svd(K.astype(np.float64), compute_uv=False)[0])
+
+
+# the four sweeps of criteria 5-7 at their default degree ranges
+BENCH_SWEEPS = {
+    "omega-y": (lambda ns: l2_markov_sweep(koornwinder(), "y", ns),
+                lambda n: l2_markov_factor(n, "y", koornwinder()), range(4, 15)),
+    "simplex-x": (lambda ns: l2_markov_sweep(simplex_weighted(), "x", ns),
+                  lambda n: l2_markov_factor(n, "x", simplex_weighted()), range(4, 17)),
+    "simplex-y": (lambda ns: l2_markov_sweep(simplex_weighted(), "y", ns),
+                  lambda n: l2_markov_factor(n, "y", simplex_weighted()), range(4, 17)),
+    "schur": (l2_schur_sweep, l2_schur_factor, range(4, 17)),
+}
+
+
+class TestNestedSweep:
+    def test_omega_top_degrees_match_svd(self):
+        # top-eigenvalue gap ratios reach 0.993 here, where a capped power
+        # iteration stalls in the 6th digit
+        pts = l2_markov_sweep(koornwinder(), "y", range(12, 15))
+        for pt in pts:
+            want = svd_reference(pt.n, "y", koornwinder())
+            assert pt.value == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SWEEPS))
+    def test_sweep_matches_per_degree_solves(self, name):
+        sweep, single, ns = BENCH_SWEEPS[name]
+        pts = sweep(ns)
+        assert [p.n for p in pts] == list(ns)
+        for pt in pts:
+            assert pt.value == pytest.approx(single(pt.n).value, rel=1e-9)
+
+    def test_input_order_kept(self):
+        fwd = l2_schur_sweep([1, 2, 3])
+        rev = l2_schur_sweep([3, 2, 1])
+        assert [p.n for p in rev] == [3, 2, 1]
+        assert [p.value for p in rev] == pytest.approx([p.value for p in fwd[::-1]], rel=1e-13)
+
+    def test_empty_and_negative(self):
+        assert l2_schur_sweep([]) == []
+        with pytest.raises(ValueError):
+            l2_markov_sweep(koornwinder(), "y", [2, -1])
 
 
 class TestFactorPoint:
