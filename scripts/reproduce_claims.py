@@ -15,17 +15,15 @@ import math
 import pathlib
 import sys
 
-from markovlab.analysis import fit_exponent, sweep_extremal, sweep_factor, sweep_schur
+from markovlab.analysis import fit_exponent, format_factor_csv_rows, sweep_extremal
 from markovlab.domains import delta_l, koornwinder, simplex_weighted
 from markovlab.norms import NormSpec
+from markovlab.spectral import l2_markov_sweep, l2_schur_sweep
 
 
 def save_csv(path: pathlib.Path, points) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "value", "method"])
-        for pt in points:
-            w.writerow([pt.n, format(pt.value, ".15g"), pt.method])
+        csv.writer(fh).writerows(format_factor_csv_rows(points))
 
 
 def report(label: str, claimed: float, points, out_dir, fname: str) -> None:
@@ -59,13 +57,13 @@ def main() -> int:
 
     print("== best L2 constants (spectral) ==")
     report("cusped domain, d/dy factor", 4.0,
-           sweep_factor(koornwinder(), "y", range(4, 15)),
+           l2_markov_sweep(koornwinder(), "y", range(4, 15)),
            out, "factor_koorn_y.csv")
     report("weighted triangle, d/du factor", 2.0,
-           sweep_factor(simplex_weighted(), "x", range(4, 17)),
+           l2_markov_sweep(simplex_weighted(), "x", range(4, 17)),
            out, "factor_simplex_u.csv")
     report("weighted triangle, weight-ratio factor", 2.0,
-           sweep_schur(range(4, 17)), out, "schur.csv")
+           l2_schur_sweep(range(4, 17)), out, "schur.csv")
 
     print("\nfitted slopes approach the claimed exponents from below; widening the")
     print("degree ranges moves every fit upward (the claims are asymptotic).")

@@ -6,13 +6,12 @@ polynomial families in closed form, and fits growth exponents in the degree.
 """
 
 from .analysis import (
+    ExtremalRow,
     FitResult,
-    SweepAborted,
+    extremal_rows,
     fit_exponent,
     report_to_json,
     sweep_extremal,
-    sweep_factor,
-    sweep_schur,
     verify_all,
 )
 from .classical import (
@@ -39,7 +38,7 @@ from .domains import (
     simplex_weighted,
     sup_grid,
 )
-from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_1d_integral, wn_ratio
+from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_1d_integral, wn_norms
 from .poly2d import (
     BivariatePoly,
     coeffs_allclose,
@@ -51,7 +50,6 @@ from .spectral import (
     ConditioningError,
     FactorPoint,
     basis,
-    gram,
     jacobi_eigenvalues,
     l2_markov_factor,
     l2_markov_sweep,
@@ -92,24 +90,22 @@ __all__ = [
     "lp_norm",
     "markov_ratio",
     "wn_1d_integral",
-    "wn_ratio",
+    "wn_norms",
     "bernoulli_sandwich",
     "ConditioningError",
     "FactorPoint",
     "basis",
-    "gram",
     "jacobi_eigenvalues",
     "l2_markov_factor",
     "l2_markov_sweep",
     "l2_schur_factor",
     "l2_schur_sweep",
     "markov_witness",
+    "ExtremalRow",
     "FitResult",
-    "SweepAborted",
+    "extremal_rows",
     "fit_exponent",
     "sweep_extremal",
-    "sweep_factor",
-    "sweep_schur",
     "verify_all",
     "report_to_json",
     "ConfigError",

@@ -1,8 +1,10 @@
 """Experiment orchestration: sweeps, exponent fits, claim verification.
 
-Sweeps produce lists of FactorPoint whose `n` is the fit abscissa: the
-polynomial degree for the extremal families (5k-4, 5k-3, n+1), the space
-degree n for the eigen factor sweeps. fit_exponent is a plain log-log OLS.
+extremal_rows is the one producer of extremal-family lower-bound ratios;
+sweep_extremal is its FactorPoint view, whose `n` is the fit abscissa (the
+polynomial degree 5k-4, 5k-3 or n+1). The eigen factor sweeps are
+spectral.l2_markov_sweep and l2_schur_sweep, whose `n` is the space degree.
+fit_exponent is a plain log-log OLS.
 
 verify_all drives the acceptance criteria and returns a timestamp-free
 report whose serialization is byte-identical across reruns.
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import classical
 from .config import LabConfig, config_to_dict, default_config
-from .domains import Domain, delta_l, koornwinder, quad_rule, simplex_weighted
-from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_1d_integral, wn_ratio
+from .domains import DEFAULT_NODE_CAP, delta_l, koornwinder, quad_rule, simplex_weighted
+from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_norms
 from .poly2d import (
     BivariatePoly,
     pullback_derivative_x,
@@ -27,7 +29,6 @@ from .poly2d import (
     pullback_symmetric,
 )
 from .spectral import (
-    ConditioningError,
     FactorPoint,
     dense_markov_oracle,
     dense_schur_oracle,
@@ -40,12 +41,10 @@ from .spectral import (
 
 __all__ = [
     "FitResult",
-    "SweepConfig",
-    "SweepAborted",
+    "ExtremalRow",
     "fit_exponent",
+    "extremal_rows",
     "sweep_extremal",
-    "sweep_factor",
-    "sweep_schur",
     "CriterionResult",
     "VerifyReport",
     "verify_all",
@@ -60,33 +59,6 @@ class FitResult:
     intercept: float
     max_abs_residual: float
     n_range: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Declarative description of one sweep (CLI plumbing)."""
-
-    domain: Domain
-    axis: str | None
-    p: float
-    items: tuple[int, ...]  # degree list or family index list, increasing
-    method: str
-    grid_density: int = 8
-    grid_floor: int = 64
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.items, self.items[1:])):
-            raise ValueError("sweep items must be strictly increasing")
-
-
-class SweepAborted(Exception):
-    """A sweep item hit a conditioning wall; carries the completed prefix."""
-
-    def __init__(self, partial: list[FactorPoint], failed_n: int, reason: str):
-        self.partial = partial
-        self.failed_n = failed_n
-        self.reason = reason
-        super().__init__(f"sweep aborted at n={failed_n}: {reason}")
 
 
 def fit_exponent(points) -> FitResult:
@@ -125,32 +97,81 @@ def fit_exponent(points) -> FitResult:
 # Sweeps.
 # ---------------------------------------------------------------------------
 
-def _extremal_point(family: str, k: int, spec: NormSpec, alpha: float,
-                    grid_density: int, grid_floor: int) -> FactorPoint:
+@dataclass(frozen=True)
+class ExtremalRow:
+    """One member of an extremal family: its index and polynomial degree,
+    the numerator of its lower-bound ratio (the cusp derivative for pk/qk,
+    ||dW_n/dy||_p for wn), its norm, and the floor the ratio is read
+    against: k^4/4 for pk, k^4 for qk, n^(2l) for wn (nan at n = 0)."""
+
+    index: int
+    degree: int
+    numerator: float
+    norm: float
+    floor: float
+
+    @property
+    def ratio(self) -> float:
+        return self.numerator / self.norm
+
+    @property
+    def point(self) -> FactorPoint:
+        """The (degree, ratio) pair the exponent fits take."""
+        return FactorPoint(self.degree, self.ratio, "extremal-sequence")
+
+
+def _cusp_member(family: str, k: int):
+    """(degree, cusp derivative, closed-form evaluator, floor) of P_k or Q_k."""
     if family == "pk":
-        deg = classical.pk_degree(k)
-        num = classical.pk_cusp_derivative(k)
-        nrm = lp_norm(
-            lambda x, y: classical.pk_value(k, x, y), spec,
-            degree=deg, grid_density=grid_density, grid_floor=grid_floor,
+        return (
+            classical.pk_degree(k), classical.pk_cusp_derivative(k),
+            lambda x, y: classical.pk_value(k, x, y), k**4 / 4.0,
         )
-        return FactorPoint(deg, num / nrm, "extremal-sequence")
-    if family == "qk":
-        deg = classical.qk_degree(k)
-        num = classical.qk_cusp_derivative(k)
-        nrm = lp_norm(
-            lambda x, y: classical.qk_value(k, x, y), spec,
-            degree=deg, grid_density=grid_density, grid_floor=grid_floor,
-        )
-        return FactorPoint(deg, num / nrm, "extremal-sequence")
+    return (
+        classical.qk_degree(k), classical.qk_cusp_derivative(k),
+        lambda x, y: classical.qk_value(k, x, y), float(k**4),
+    )
+
+
+def extremal_rows(
+    family: str,
+    indices,
+    spec: NormSpec,
+    *,
+    alpha: float = 14.0,
+    grid_density: int = 8,
+    grid_floor: int = 64,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> list[ExtremalRow]:
+    """One ExtremalRow per index of family pk, qk (on the cusped domain) or
+    wn (on a delta-l domain, finite p).
+
+    pk/qk norms come from closed-form evaluation (the monomial expansions
+    are never touched); wn norms from the exact 1-D reduction.
+    """
     if family == "wn":
         if spec.domain.kind != "delta-l":
             raise ValueError("the wn family lives on a delta-l domain")
         if math.isinf(spec.p):
-            raise ValueError("the wn ratio needs finite p")
-        value = wn_ratio(k, alpha, spec.domain.l, spec.p)
-        return FactorPoint(k + 1, value, "extremal-sequence")
-    raise ValueError(f"unknown family {family!r}")
+            raise ValueError("the wn family needs finite p")
+        l = spec.domain.l
+        rows = []
+        for n in map(int, indices):
+            dnorm, norm = wn_norms(n, alpha, l, spec.p)
+            floor = float(n) ** (2 * l) if n > 0 else math.nan
+            rows.append(ExtremalRow(n, n + 1, dnorm, norm, floor))
+        return rows
+    if family not in ("pk", "qk"):
+        raise ValueError(f"unknown family {family!r}")
+    rows = []
+    for k in map(int, indices):
+        degree, cusp, value, floor = _cusp_member(family, k)
+        norm = lp_norm(
+            value, spec, degree=degree,
+            grid_density=grid_density, grid_floor=grid_floor, node_cap=node_cap,
+        )
+        rows.append(ExtremalRow(k, degree, cusp, norm, floor))
+    return rows
 
 
 def sweep_extremal(
@@ -162,45 +183,13 @@ def sweep_extremal(
     grid_density: int = 8,
     grid_floor: int = 64,
 ) -> list[FactorPoint]:
-    """Lower-bound ratios for an extremal family.
-
-    For pk/qk the ratio is the closed-form cusp derivative magnitude over
-    the family member's norm (closed-form evaluation throughout; the
-    monomial expansions are never touched). For wn it is the exact 1-D
-    reduction ratio. FactorPoint.n is the member's polynomial degree.
-    """
-    return [
-        _extremal_point(family, int(k), spec, alpha, grid_density, grid_floor)
-        for k in indices
-    ]
-
-
-def sweep_factor(
-    domain: Domain,
-    axis: str,
-    n_range,
-    *,
-    tol: float = 1e-10,
-    cond_limit: float = 1e13,
-) -> list[FactorPoint]:
-    """l2_markov_factor over n_range from one nested factorization
-    (spectral.l2_markov_sweep), in input order.
-
-    A conditioning or residual failure aborts with the completed prefix
-    attached (SweepAborted).
-    """
-    try:
-        return l2_markov_sweep(domain, axis, n_range, tol=tol, cond_limit=cond_limit)
-    except ConditioningError as e:
-        raise SweepAborted(e.partial, e.n, str(e)) from e
-
-
-def sweep_schur(n_range, *, tol: float = 1e-10, cond_limit: float = 1e13) -> list[FactorPoint]:
-    """l2_schur_factor over n_range, aborting as sweep_factor does."""
-    try:
-        return l2_schur_sweep(n_range, tol=tol, cond_limit=cond_limit)
-    except ConditioningError as e:
-        raise SweepAborted(e.partial, e.n, str(e)) from e
+    """extremal_rows as FactorPoints: n is the member's polynomial degree,
+    value its lower-bound ratio."""
+    rows = extremal_rows(
+        family, indices, spec,
+        alpha=alpha, grid_density=grid_density, grid_floor=grid_floor,
+    )
+    return [row.point for row in rows]
 
 
 def format_factor_csv_rows(points: list[FactorPoint]) -> list[list[str]]:
@@ -320,34 +309,21 @@ def _c2_identities(cfg: LabConfig, rng: np.random.Generator):
 
 def _c3_sharpness(cfg: LabConfig, _rng):
     acc = cfg.acceptance
-    dom = koornwinder()
-    density, floor = cfg.sup_grid.density, cfg.sup_grid.floor
+    spec = NormSpec(math.inf, koornwinder())
     worst_cusp = 0.0
     worst_sup = 0.0
     min_margin = math.inf
-    for k in range(1, acc.sharpness_max_index + 1):
-        cusp_p = classical.pk_cusp_derivative(k)
-        cusp_q = classical.qk_cusp_derivative(k)
-        worst_cusp = max(
-            worst_cusp,
-            _rel_err(cusp_p, k**5 / 4.0),
-            _rel_err(cusp_q, float(k**5)),
+    for family in ("pk", "qk"):
+        rows = extremal_rows(
+            family, range(1, acc.sharpness_max_index + 1), spec,
+            grid_density=cfg.sup_grid.density, grid_floor=cfg.sup_grid.floor,
+            node_cap=cfg.quadrature.node_cap,
         )
-        spec = NormSpec(math.inf, dom)
-        sup_p = lp_norm(
-            lambda x, y: classical.pk_value(k, x, y), spec,
-            degree=classical.pk_degree(k), grid_density=density, grid_floor=floor,
-        )
-        sup_q = lp_norm(
-            lambda x, y: classical.qk_value(k, x, y), spec,
-            degree=classical.qk_degree(k), grid_density=density, grid_floor=floor,
-        )
-        worst_sup = max(worst_sup, sup_p / k, sup_q / k)
-        min_margin = min(
-            min_margin,
-            (cusp_p / sup_p) / (k**4 / 4.0),
-            (cusp_q / sup_q) / float(k**4),
-        )
+        for row in rows:
+            # the cusp derivatives k^5/4 and k^5 are k times the floors
+            worst_cusp = max(worst_cusp, _rel_err(row.numerator, row.index * row.floor))
+            worst_sup = max(worst_sup, row.norm / row.index)
+            min_margin = min(min_margin, row.ratio / row.floor)
     slack = 1.0 + acc.sup_norm_slack
     passed = (
         worst_cusp <= 1e-12 and worst_sup <= slack and min_margin >= 1.0
@@ -366,12 +342,12 @@ def _c3_sharpness(cfg: LabConfig, _rng):
 def _extremal_slope(cfg: LabConfig, density: int) -> FitResult:
     acc = cfg.acceptance
     lo, hi = acc.extremal_index_range
-    spec = NormSpec(math.inf, koornwinder())
-    pts = sweep_extremal(
-        "pk", range(lo, hi + 1), spec,
+    rows = extremal_rows(
+        "pk", range(lo, hi + 1), NormSpec(math.inf, koornwinder()),
         grid_density=density, grid_floor=cfg.sup_grid.floor,
+        node_cap=cfg.quadrature.node_cap,
     )
-    return fit_exponent(pts)
+    return fit_exponent([row.point for row in rows])
 
 
 def _c4_extremal_fit(cfg: LabConfig, _rng):
@@ -399,7 +375,7 @@ def _c4_extremal_fit(cfg: LabConfig, _rng):
 def _c5_koornwinder(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     lo, hi = acc.koornwinder_degree_range
-    pts = sweep_factor(
+    pts = l2_markov_sweep(
         koornwinder(), "y", range(lo, hi + 1),
         tol=cfg.power_iteration.tolerance,
         cond_limit=cfg.power_iteration.condition_limit,
@@ -429,7 +405,7 @@ def _c6_simplex(cfg: LabConfig, _rng):
     ok = True
     details = []
     for axis in ("x", "y"):
-        pts = sweep_factor(
+        pts = l2_markov_sweep(
             simplex_weighted(), axis, range(lo, hi + 1),
             tol=cfg.power_iteration.tolerance,
             cond_limit=cfg.power_iteration.condition_limit,
@@ -454,7 +430,7 @@ def _c7_schur(cfg: LabConfig, _rng):
     base_expect = math.sqrt(5.0 / 6.0)
     base_err = _rel_err(base, base_expect)
     lo, hi = acc.schur_degree_range
-    pts = sweep_schur(
+    pts = l2_schur_sweep(
         range(lo, hi + 1),
         tol=cfg.power_iteration.tolerance,
         cond_limit=cfg.power_iteration.condition_limit,
@@ -477,8 +453,11 @@ def _c8_wn(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     lo, hi = acc.wn_index_range
     spec = NormSpec(acc.wn_p, delta_l(acc.wn_l))
-    pts = sweep_extremal("wn", range(lo, hi + 1), spec, alpha=acc.wn_alpha)
-    fit = fit_exponent(pts)
+    rows = extremal_rows(
+        "wn", range(lo, hi + 1), spec,
+        alpha=acc.wn_alpha, node_cap=cfg.quadrature.node_cap,
+    )
+    fit = fit_exponent([row.point for row in rows])
     wlo, whi = acc.wn_slope_window
     passed = wlo <= fit.slope <= whi
     return passed, {
@@ -546,9 +525,9 @@ def _c11_determinism(cfg: LabConfig, _rng):
     pw = cfg.power_iteration
     ns = range(2, 7)
     sweeps = (
-        (lambda: sweep_schur(ns, tol=pw.tolerance),
+        (lambda: l2_schur_sweep(ns, tol=pw.tolerance),
          lambda n: l2_schur_factor(n, tol=pw.tolerance)),
-        (lambda: sweep_factor(koornwinder(), "y", ns, tol=pw.tolerance),
+        (lambda: l2_markov_sweep(koornwinder(), "y", ns, tol=pw.tolerance),
          lambda n: l2_markov_factor(n, "y", koornwinder(), tol=pw.tolerance)),
     )
     worst = 0.0

@@ -22,21 +22,18 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import classical
 from .analysis import (
     FitResult,
-    SweepAborted,
+    extremal_rows,
     fit_exponent,
     format_factor_csv_rows,
     report_to_json,
-    sweep_factor,
-    sweep_schur,
     verify_all,
 )
 from .config import ConfigError, LabConfig, config_to_dict, config_to_json, default_config, load_config
 from .domains import CapacityError, Domain, delta_l, koornwinder, quad_rule, simplex_weighted
-from .norms import NormSpec, lp_norm, wn_1d_integral
-from .spectral import ConditioningError, FactorPoint
+from .norms import NormSpec
+from .spectral import ConditioningError, FactorPoint, l2_markov_sweep, l2_schur_sweep
 
 TOOL_NAME = "markovlab"
 TOOL_VERSION = "0.1.0"
@@ -175,62 +172,25 @@ def cmd_area(args) -> int:
     return 0
 
 
-def _extremal_rows(args, cfg: LabConfig):
-    indices = _parse_span(args.range)
-    p = _parse_p(args.p)
-    rows = [["index", "degree", "cusp_derivative", "norm", "ratio", "ratio_over_expected"]]
-    points: list[FactorPoint] = []
-    density, floor = cfg.sup_grid.density, cfg.sup_grid.floor
-    cap = cfg.quadrature.node_cap
-    if args.family in ("pk", "qk"):
-        spec = NormSpec(p, koornwinder())
-        for k in indices:
-            if args.family == "pk":
-                deg = classical.pk_degree(k)
-                num = classical.pk_cusp_derivative(k)
-                val = lambda x, y, _k=k: classical.pk_value(_k, x, y)
-            else:
-                deg = classical.qk_degree(k)
-                num = classical.qk_cusp_derivative(k)
-                val = lambda x, y, _k=k: classical.qk_value(_k, x, y)
-            nrm = lp_norm(
-                val, spec, degree=deg,
-                grid_density=density, grid_floor=floor, node_cap=cap,
-            )
-            ratio = num / nrm
-            expected = k**4 / 4.0
-            rows.append([
-                str(k), str(deg), _fmt(num), _fmt(nrm),
-                _fmt(ratio), _fmt(ratio / expected),
-            ])
-            points.append(FactorPoint(deg, ratio, "extremal-sequence"))
-        return rows, points
-    if args.family == "wn":
-        if math.isinf(p):
-            raise ConfigError("the wn family needs finite p")
-        l, alpha = args.l, args.alpha
-        for n in indices:
-            i_num = wn_1d_integral(n, alpha, p, float(l), l)
-            i_den = wn_1d_integral(n, alpha, p, (p + 1.0) * l, l)
-            dnorm = (4.0 * i_num) ** (1.0 / p)
-            nrm = (4.0 * i_den / (p + 1.0)) ** (1.0 / p)
-            ratio = dnorm / nrm
-            expected = float(n) ** (2 * l) if n > 0 else math.nan
-            rows.append([
-                str(n), str(n + 1), _fmt(dnorm), _fmt(nrm),
-                _fmt(ratio), _fmt(ratio / expected),
-            ])
-            points.append(FactorPoint(n + 1, ratio, "extremal-sequence"))
-        return rows, points
-    raise ConfigError(f"unknown family {args.family!r}")
-
-
 def cmd_extremal(args) -> int:
     _warn_seed_ignored(args)
     cfg = _load_cfg(args)
-    rows, points = _extremal_rows(args, cfg)
-    out, digest = _emit_csv(rows, args.out)
-    fit = _print_fit_footer(points)
+    indices = _parse_span(args.range)
+    p = _parse_p(args.p)
+    domain = delta_l(args.l) if args.family == "wn" else koornwinder()
+    rows = extremal_rows(
+        args.family, indices, NormSpec(p, domain), alpha=args.alpha,
+        grid_density=cfg.sup_grid.density, grid_floor=cfg.sup_grid.floor,
+        node_cap=cfg.quadrature.node_cap,
+    )
+    table = [["index", "degree", "cusp_derivative", "norm", "ratio", "ratio_over_expected"]]
+    for r in rows:
+        table.append([
+            str(r.index), str(r.degree), _fmt(r.numerator), _fmt(r.norm),
+            _fmt(r.ratio), _fmt(r.ratio / r.floor),
+        ])
+    out, digest = _emit_csv(table, args.out)
+    fit = _print_fit_footer([r.point for r in rows])
     if out is not None:
         params = {
             "family": args.family, "range": args.range, "p": args.p,
@@ -248,20 +208,20 @@ def cmd_factor(args) -> int:
     params = {"domain": args.domain, "axis": args.axis, "n": args.n, "l": args.l}
     try:
         if args.domain == "schur":
-            points = sweep_schur(ns, tol=pw.tolerance, cond_limit=pw.condition_limit)
+            points = l2_schur_sweep(ns, tol=pw.tolerance, cond_limit=pw.condition_limit)
         else:
             domain = _domain_from_name(args.domain, args.l)
-            points = sweep_factor(
+            points = l2_markov_sweep(
                 domain, args.axis, ns, tol=pw.tolerance, cond_limit=pw.condition_limit
             )
-    except SweepAborted as e:
+    except ConditioningError as e:
         out, digest = _emit_csv(format_factor_csv_rows(e.partial), args.out)
         if out is not None:
             _write_manifest(out, "factor", params, cfg, digest, None)
         done = e.partial[-1].n if e.partial else None
         print(
-            f"{TOOL_NAME}: conditioning abort at n={e.failed_n}; "
-            f"largest completed n: {done} ({e.reason})",
+            f"{TOOL_NAME}: conditioning abort at n={e.n}; "
+            f"largest completed n: {done} ({e})",
             file=sys.stderr,
         )
         return 3

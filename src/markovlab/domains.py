@@ -274,10 +274,6 @@ def _check_cap(count: int, cap: int) -> None:
 # Sup-norm grids.
 # ---------------------------------------------------------------------------
 
-def _lobatto_01_descending(m: int) -> np.ndarray:
-    return np.cos(np.pi * np.arange(m + 1) / m)
-
-
 def sup_grid(domain: Domain, degree: int, *, density: int = 8, floor: int = 64) -> np.ndarray:
     """Physical evaluation points whose max approximates the sup norm.
 

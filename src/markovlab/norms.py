@@ -23,7 +23,6 @@ from .classical import jacobi_P
 from .domains import (
     DEFAULT_NODE_CAP,
     Domain,
-    QuadratureRule,
     gauss_legendre_1d,
     map_to_physical,
     quad_rule,
@@ -36,7 +35,7 @@ __all__ = [
     "lp_norm",
     "markov_ratio",
     "wn_1d_integral",
-    "wn_ratio",
+    "wn_norms",
     "bernoulli_sandwich",
 ]
 
@@ -132,7 +131,6 @@ def lp_norm(
     grid_density: int = 8,
     grid_floor: int = 64,
     node_cap: int = DEFAULT_NODE_CAP,
-    rule: QuadratureRule | None = None,
 ) -> float:
     """The L^p (or sup) norm of P under spec.
 
@@ -143,8 +141,6 @@ def lp_norm(
     Even integer p uses a rule exact for P**p. p = inf takes the max over
     sup_grid (grid_density/grid_floor control its side counts). Other finite
     p >= 1 uses composite panels, 4 * degree per axis, non-certified.
-    An externally built `rule` may be supplied to amortize node construction
-    across calls; it must be exact to degree p * deg(P).
     """
     if not (spec.p >= 1.0):
         raise ValueError("p must be >= 1")
@@ -158,10 +154,7 @@ def lp_norm(
     p = spec.p
     if float(p).is_integer() and int(p) % 2 == 0 and p >= 2:
         ip = int(p)
-        if rule is None:
-            rule = quad_rule(
-                spec.domain, ip * deg, _weight_power(spec), node_cap=node_cap
-            )
+        rule = quad_rule(spec.domain, ip * deg, _weight_power(spec), node_cap=node_cap)
         x, y = rule.eval_points()
         vals = np.asarray(f(x, y))
         total = float(np.sum(rule.weights * vals**ip))
@@ -287,12 +280,13 @@ def wn_1d_integral(n: int, alpha: float, p: float, beta_exponent: float, l: int)
     return total
 
 
-def wn_ratio(n: int, alpha: float, l: int, p: float) -> float:
-    """Norm ratio of dW_n/dy to W_n on the delta-l domain, via the 1-D
-    reduction: [(p+1) * I(beta=l) / I(beta=(p+1)l)]^(1/p)."""
+def wn_norms(n: int, alpha: float, l: int, p: float) -> tuple[float, float]:
+    """(||dW_n/dy||_p, ||W_n||_p) on the delta-l domain, via the 1-D
+    reduction over the four symmetric quadrants:
+    ||dW_n/dy||_p^p = 4 I(beta=l) and ||W_n||_p^p = 4 I(beta=(p+1)l) / (p+1)."""
     i_num = wn_1d_integral(n, alpha, p, float(l), l)
     i_den = wn_1d_integral(n, alpha, p, (p + 1.0) * l, l)
-    return ((p + 1.0) * i_num / i_den) ** (1.0 / p)
+    return (4.0 * i_num) ** (1.0 / p), (4.0 * i_den / (p + 1.0)) ** (1.0 / p)
 
 
 def bernoulli_sandwich(x, l: int):

@@ -54,7 +54,6 @@ __all__ = [
     "ConditioningError",
     "FactorPoint",
     "basis",
-    "gram",
     "l2_markov_factor",
     "l2_markov_sweep",
     "l2_schur_factor",
@@ -94,7 +93,7 @@ class FactorPoint:
     def __post_init__(self) -> None:
         if self.value < 0.0:
             raise ValueError("factor values are nonnegative")
-        if self.method not in ("eigen", "extremal-sequence", "ratio-sample"):
+        if self.method not in ("eigen", "extremal-sequence"):
             raise ValueError(f"unknown method tag {self.method!r}")
 
 
@@ -315,43 +314,6 @@ def _cholesky_lower(G: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Public Gram assembly (explicit matrices, float64 contract).
-# ---------------------------------------------------------------------------
-
-def gram(
-    basis_polys: list[BivariatePoly], domain: Domain, extra_weight_power: int = 0
-) -> np.ndarray:
-    """Gram matrix G[a, b] = integral of basis_a * basis_b over the domain.
-
-    extra_weight_power 0 integrates against the domain's intrinsic measure;
-    2 multiplies by (v - u)^2 (weighted simplex only), giving the matrix of
-    ||w P||^2 used by the Schur pencil. The result is symmetrized float64
-    and is checked positive definite; an indefinite result raises
-    ConditioningError (reduce n).
-    """
-    if extra_weight_power not in (0, 2):
-        raise ValueError("extra_weight_power must be 0 or 2")
-    if not basis_polys:
-        raise ValueError("empty basis")
-    if extra_weight_power == 2 and domain.kind != "simplex-weighted":
-        raise ValueError("the squared-weight Gram lives on the weighted simplex")
-    deg = max(p.total_degree() for p in basis_polys)
-    wp = None
-    if domain.kind == "simplex-weighted":
-        wp = 1 + extra_weight_power
-    rule = quad_rule(domain, 2 * deg, wp, dtype=np.longdouble)
-    x, y = rule.eval_points()
-    B = np.empty((x.shape[0], len(basis_polys)), dtype=np.longdouble)
-    for a, p in enumerate(basis_polys):
-        B[:, a] = p.eval(x, y)
-    Bw = B * rule.weights[:, None]
-    G = (B.T @ Bw).astype(np.float64)
-    G = (G + G.T) / 2.0
-    _cholesky_lower(G)  # definiteness gate
-    return G
-
-
-# ---------------------------------------------------------------------------
 # Factor computations: the nested sweep engine (extended precision).
 # ---------------------------------------------------------------------------
 
@@ -390,15 +352,6 @@ def _schur_pencil(n_max: int):
         B *= np.sqrt(rule.weights)[:, None]
         mats.append(B)
     return mats[0], mats[1]
-
-
-def _scaled(num: np.ndarray, den: np.ndarray, column_scaling):
-    if column_scaling is None:
-        return num, den
-    sc = np.asarray(column_scaling, dtype=num.dtype)
-    if sc.shape != (num.shape[1],) or np.any(sc <= 0):
-        raise ValueError("column_scaling must be positive, one per basis element")
-    return num * sc, den * sc
 
 
 def _nested_tops(ns: list[int], num: np.ndarray, den: np.ndarray, *, tol, cond_limit):
@@ -490,7 +443,6 @@ def l2_markov_factor(
     *,
     tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
-    column_scaling=None,
 ) -> FactorPoint:
     """Best constant sup ||dP/daxis||_2 / ||P||_2 over total degree <= n.
 
@@ -499,7 +451,7 @@ def l2_markov_factor(
     pencil, solved as a one-degree sweep; see the module docstring.
     """
     [n] = _degrees([n])
-    num, den = _scaled(*_markov_pencil(domain, axis, n), column_scaling)
+    num, den = _markov_pencil(domain, axis, n)
     _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
     return FactorPoint(n, value, "eigen")
 
@@ -528,12 +480,11 @@ def l2_schur_factor(
     *,
     tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
-    column_scaling=None,
 ) -> FactorPoint:
     """Best constant sup ||P||_{2,w} / ||(v-u) P||_{2,w} over degree <= n
     on the weighted simplex."""
     [n] = _degrees([n])
-    num, den = _scaled(*_schur_pencil(n), column_scaling)
+    num, den = _schur_pencil(n)
     _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
     return FactorPoint(n, value, "eigen")
 

@@ -115,13 +115,18 @@ def _eigh_pencil_top(A: np.ndarray, G: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(M).max(), 0.0)))
 
 
-def eigh_markov_reference(n: int, axis: str, kind: str) -> float:
+def eigh_markov_reference(n: int, axis: str, kind: str, rescale: float = 1.0) -> float:
     """Best L2 derivative-to-norm ratio over degree-n polynomials, via exact
-    monomial moments and LAPACK."""
+    monomial moments and LAPACK.
+
+    `rescale` multiplies both monomial scales: it changes the basis of the
+    space, not the space, so the ratio must not move with it.
+    """
     idx = monomial_indices(n)
     mom = _moment_fn(kind, 0 if kind == "koornwinder" else 1)
-    sx = Fraction(2) if kind == "koornwinder" else Fraction(1)
-    sy = Fraction(1)
+    s = Fraction(rescale)
+    sx = (Fraction(2) if kind == "koornwinder" else Fraction(1)) * s
+    sy = s
     G = _scaled_gram(idx, mom, sx, sy)
     A = _scaled_deriv_gram(idx, mom, sx, sy, axis)
     return _eigh_pencil_top(A, G)

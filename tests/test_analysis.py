@@ -4,20 +4,17 @@ import math
 import pytest
 
 from markovlab.analysis import (
-    SweepAborted,
-    SweepConfig,
+    extremal_rows,
     fit_exponent,
     format_factor_csv_rows,
     report_to_json,
     sweep_extremal,
-    sweep_factor,
-    sweep_schur,
     verify_all,
 )
 from markovlab.config import config_from_dict
-from markovlab.domains import koornwinder, simplex_weighted
-from markovlab.norms import NormSpec
-from markovlab.spectral import FactorPoint
+from markovlab.domains import delta_l, koornwinder
+from markovlab.norms import NormSpec, wn_norms
+from markovlab.spectral import ConditioningError, FactorPoint, l2_markov_sweep, l2_schur_sweep
 
 
 class TestFitExponent:
@@ -61,8 +58,6 @@ class TestSweepExtremal:
         assert pts[0].value >= 16.0
 
     def test_wn_family(self):
-        from markovlab.domains import delta_l
-
         spec = NormSpec(2.0, delta_l(3))
         pts = sweep_extremal("wn", [8, 9], spec, alpha=14.0)
         assert [p.n for p in pts] == [9, 10]
@@ -73,39 +68,63 @@ class TestSweepExtremal:
             sweep_extremal("zz", [1, 2, 3], NormSpec(2.0, koornwinder()))
 
 
+class TestExtremalRows:
+    def test_floors(self):
+        # Q_k is read against k^4, not against the P_k floor k^4/4
+        spec = NormSpec(math.inf, koornwinder())
+        assert [r.floor for r in extremal_rows("pk", [2, 3], spec)] == [4.0, 20.25]
+        assert [r.floor for r in extremal_rows("qk", [2, 3], spec)] == [16.0, 81.0]
+        wn = extremal_rows("wn", [0, 2], NormSpec(2.0, delta_l(3)))
+        assert math.isnan(wn[0].floor) and wn[1].floor == 64.0
+
+    def test_wn_rows_are_the_1d_norms(self):
+        [row] = extremal_rows("wn", [8], NormSpec(3.0, delta_l(3)), alpha=14.0)
+        assert (row.index, row.degree) == (8, 9)
+        assert (row.numerator, row.norm) == wn_norms(8, 14.0, 3, 3.0)
+        assert row.ratio == row.numerator / row.norm
+
+    def test_sweep_extremal_is_the_point_view(self):
+        spec = NormSpec(math.inf, koornwinder())
+        rows = extremal_rows("pk", [2, 4], spec)
+        pts = sweep_extremal("pk", [2, 4], spec)
+        assert pts == [FactorPoint(r.degree, r.ratio, "extremal-sequence") for r in rows]
+
+    def test_wn_needs_delta_l_and_finite_p(self):
+        with pytest.raises(ValueError, match="delta-l"):
+            extremal_rows("wn", [8], NormSpec(2.0, koornwinder()))
+        with pytest.raises(ValueError, match="finite p"):
+            extremal_rows("wn", [8], NormSpec(math.inf, delta_l(3)))
+
+
 class TestSweepFactor:
     def test_reruns_give_identical_values(self):
         ns = range(1, 6)
-        first = sweep_factor(koornwinder(), "y", ns)
-        second = sweep_factor(koornwinder(), "y", ns)
+        first = l2_markov_sweep(koornwinder(), "y", ns)
+        second = l2_markov_sweep(koornwinder(), "y", ns)
         assert [p.n for p in first] == list(ns)
         assert first == second
 
     def test_csv_cells_byte_identical_across_reruns(self):
-        rows1 = format_factor_csv_rows(sweep_schur(range(2, 7)))
-        rows2 = format_factor_csv_rows(sweep_schur(range(2, 7)))
+        rows1 = format_factor_csv_rows(l2_schur_sweep(range(2, 7)))
+        rows2 = format_factor_csv_rows(l2_schur_sweep(range(2, 7)))
         assert rows1 == rows2
 
     def test_abort_carries_prefix(self):
-        with pytest.raises(SweepAborted) as exc:
-            sweep_factor(koornwinder(), "y", range(1, 9), cond_limit=100.0)
+        with pytest.raises(ConditioningError) as exc:
+            l2_markov_sweep(koornwinder(), "y", range(1, 9), cond_limit=100.0)
         err = exc.value
-        assert err.failed_n == 6
+        assert err.n == 6
         assert [p.n for p in err.partial] == [1, 2, 3, 4, 5]
 
     def test_residual_gate_aborts_with_prefix(self):
         # n = 0 has the exact eigenpair (0, e_0), residual 0; every later
         # degree carries a rounding-level residual that a zero tolerance refuses
-        with pytest.raises(SweepAborted) as exc:
-            sweep_factor(koornwinder(), "y", range(0, 4), tol=0.0)
+        with pytest.raises(ConditioningError) as exc:
+            l2_markov_sweep(koornwinder(), "y", range(0, 4), tol=0.0)
         err = exc.value
-        assert "residual" in err.reason
-        assert err.failed_n >= 1
-        assert [p.n for p in err.partial] == list(range(err.failed_n))
-
-    def test_sweep_config_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(simplex_weighted(), "x", 2.0, (3, 3), "eigen")
+        assert "residual" in str(err)
+        assert err.n >= 1
+        assert [p.n for p in err.partial] == list(range(err.n))
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +187,7 @@ class TestVerifyAll:
 class TestFitStability:
     def test_drop_first_point(self):
         """The fitted exponent should not hinge on the smallest degree."""
-        pts = sweep_factor(koornwinder(), "y", range(4, 15))
+        pts = l2_markov_sweep(koornwinder(), "y", range(4, 15))
         full = fit_exponent(pts).slope
         trimmed = fit_exponent(pts[1:]).slope
         assert abs(full - trimmed) < 0.15

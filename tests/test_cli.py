@@ -77,6 +77,22 @@ class TestExtremal:
         rows = parse_csv(res.stdout)
         assert float(rows[1][4]) >= 16.0
 
+    def test_second_family_floor_is_k4(self):
+        # ratio_over_expected divides Q_k's ratio by k^4 = 16, not by the
+        # P_k floor k^4/4
+        res = run_cli("extremal", "--family", "qk", "--range", "2:2", "--p", "inf")
+        assert res.returncode == 0
+        row = parse_csv(res.stdout)[1]
+        assert float(row[5]) == pytest.approx(float(row[4]) / 16.0, rel=1e-13)
+
+    def test_node_cap_reaches_l2_norm(self, tmp_path):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"quadrature": {"node_cap": 10}}))
+        res = run_cli("extremal", "--family", "pk", "--range", "2:3", "--p", "2",
+                      "--config", str(cfg))
+        assert res.returncode == 3
+        assert "limit" in res.stderr
+
     def test_manifest(self, tmp_path):
         out = tmp_path / "w.csv"
         res = run_cli("extremal", "--family", "wn", "--range", "4:8", "--alpha", "14",
@@ -188,6 +204,16 @@ class TestVerify:
             res = run_cli("verify", "--config", str(cfg), "--json", str(rep))
             reports.append((res.returncode, rep.read_bytes()))
         assert reports[0] == reports[1]
+
+    def test_conditioning_abort_exit_3(self, tmp_path):
+        cfg = tmp_path / "tight.json"
+        cfg.write_text(json.dumps({
+            "power_iteration": {"condition_limit": 100.0},
+            "acceptance": {"criteria": [5]},
+        }))
+        res = run_cli("verify", "--config", str(cfg))
+        assert res.returncode == 3
+        assert "numerical limit: triangular factor spread" in res.stderr
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

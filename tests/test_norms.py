@@ -13,7 +13,7 @@ from markovlab.norms import (
     lp_norm,
     markov_ratio,
     wn_1d_integral,
-    wn_ratio,
+    wn_norms,
 )
 from markovlab.poly2d import BivariatePoly
 from oracles import wn_integral_reference
@@ -45,7 +45,7 @@ class TestLpNorm:
         spec = NormSpec(4.0, koornwinder())
         base = lp_norm(p, spec)
         doubled_rule = quad_rule(koornwinder(), 8 * p.total_degree())
-        again = lp_norm(p, spec, rule=doubled_rule)
+        again = doubled_rule.integrate(lambda x, y: p.eval(x, y) ** 4) ** 0.25
         assert again == pytest.approx(base, rel=1e-12)
 
     def test_general_p_close_to_exact(self):
@@ -135,12 +135,19 @@ class TestWnIntegral:
             wn_1d_integral(1, 1.0, 2.0, 1.0, 2)
 
 
+def wn_ratio(n, alpha, l, p):
+    dnorm, norm = wn_norms(n, alpha, l, p)
+    return dnorm / norm
+
+
 class TestWnRatio:
     def test_closed_form_p2(self):
         assert wn_ratio(0, 3.0, 1, 2.0) == pytest.approx(math.sqrt(6.0), rel=1e-13)
 
     def test_closed_form_p1(self):
         assert wn_ratio(0, 11.0, 1, 1.0) == pytest.approx(3.0, rel=1e-13)
+        # W_0 = y on the unit diamond: ||1||_1 = 2 and ||y||_1 = 2/3
+        assert wn_norms(0, 11.0, 1, 1.0) == pytest.approx((2.0, 2.0 / 3.0), rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_cross_check_2d_route(self, n):
@@ -152,6 +159,7 @@ class TestWnRatio:
         w = classical.build_wn(n, alpha)
         ratio_2d = markov_ratio(w, "y", spec)
         assert wn_ratio(n, alpha, 1, p) == pytest.approx(ratio_2d, rel=1e-6)
+        assert wn_norms(n, alpha, 1, p)[1] == pytest.approx(lp_norm(w, spec), rel=1e-6)
 
     def test_growth_is_steep(self):
         lo = wn_ratio(8, 14.0, 3, 2.0)
