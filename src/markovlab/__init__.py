@@ -38,7 +38,15 @@ from .domains import (
     simplex_weighted,
     sup_grid,
 )
-from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_1d_integral, wn_norms
+from .norms import (
+    NormSpec,
+    bernoulli_sandwich,
+    cusp_sup,
+    lp_norm,
+    markov_ratio,
+    wn_1d_integral,
+    wn_norms,
+)
 from .poly2d import (
     BivariatePoly,
     coeffs_allclose,
@@ -89,6 +97,7 @@ __all__ = [
     "NormSpec",
     "lp_norm",
     "markov_ratio",
+    "cusp_sup",
     "wn_1d_integral",
     "wn_norms",
     "bernoulli_sandwich",

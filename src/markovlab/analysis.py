@@ -20,8 +20,22 @@ import numpy as np
 
 from . import classical
 from .config import LabConfig, config_to_dict, default_config
-from .domains import DEFAULT_NODE_CAP, delta_l, koornwinder, quad_rule, simplex_weighted
-from .norms import NormSpec, bernoulli_sandwich, lp_norm, markov_ratio, wn_norms
+from .domains import (
+    DEFAULT_NODE_CAP,
+    CapacityError,
+    delta_l,
+    koornwinder,
+    quad_rule,
+    simplex_weighted,
+)
+from .norms import (
+    NormSpec,
+    bernoulli_sandwich,
+    cusp_sup,
+    lp_norm,
+    markov_ratio,
+    wn_norms,
+)
 from .poly2d import (
     BivariatePoly,
     pullback_derivative_x,
@@ -29,6 +43,7 @@ from .poly2d import (
     pullback_symmetric,
 )
 from .spectral import (
+    ConditioningError,
     FactorPoint,
     dense_markov_oracle,
     dense_schur_oracle,
@@ -146,8 +161,10 @@ def extremal_rows(
     """One ExtremalRow per index of family pk, qk (on the cusped domain) or
     wn (on a delta-l domain, finite p).
 
-    pk/qk norms come from closed-form evaluation (the monomial expansions
-    are never touched); wn norms from the exact 1-D reduction.
+    pk/qk sup norms come from the exact 1-D slice reduction (cusp_sup;
+    grid_density/grid_floor set its grid), finite-p norms from closed-form
+    evaluation (the monomial expansions are never touched); wn norms from
+    the exact 1-D reduction.
     """
     if family == "wn":
         if spec.domain.kind != "delta-l":
@@ -163,13 +180,15 @@ def extremal_rows(
         return rows
     if family not in ("pk", "qk"):
         raise ValueError(f"unknown family {family!r}")
+    if spec.domain.kind != "koornwinder":
+        raise ValueError(f"the {family} family lives on the cusped domain")
     rows = []
     for k in map(int, indices):
         degree, cusp, value, floor = _cusp_member(family, k)
-        norm = lp_norm(
-            value, spec, degree=degree,
-            grid_density=grid_density, grid_floor=grid_floor, node_cap=node_cap,
-        )
+        if math.isinf(spec.p):
+            norm = cusp_sup(family, k, density=grid_density, floor=grid_floor)
+        else:
+            norm = lp_norm(value, spec, degree=degree, node_cap=node_cap)
         rows.append(ExtremalRow(k, degree, cusp, norm, floor))
     return rows
 
@@ -182,12 +201,14 @@ def sweep_extremal(
     alpha: float = 14.0,
     grid_density: int = 8,
     grid_floor: int = 64,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[FactorPoint]:
     """extremal_rows as FactorPoints: n is the member's polynomial degree,
     value its lower-bound ratio."""
     rows = extremal_rows(
         family, indices, spec,
         alpha=alpha, grid_density=grid_density, grid_floor=grid_floor,
+        node_cap=node_cap,
     )
     return [row.point for row in rows]
 
@@ -221,6 +242,9 @@ class VerifyReport:
     seed: int
     config: dict
     durations: dict = field(default_factory=dict)  # seconds; never serialized
+    # criterion id -> message, for criteria stopped by a numerical limit
+    # (conditioning or capacity); never serialized
+    limits: dict = field(default_factory=dict)
 
 
 def report_to_json(report: VerifyReport) -> str:
@@ -333,7 +357,7 @@ def _c3_sharpness(cfg: LabConfig, _rng):
         "max_sup_over_k": worst_sup,
         "min_ratio_over_bound": min_margin,
     }, (
-        f"cusp derivatives exact to {worst_cusp:.1e}; grid sups at most "
+        f"cusp derivatives exact to {worst_cusp:.1e}; 1-D slice sups at most "
         f"{worst_sup:.6f} of the closed bound k; lower-bound ratios exceed "
         f"their floors by factor >= {min_margin:.6f}, all k <= {acc.sharpness_max_index}"
     )
@@ -569,18 +593,25 @@ _CRITERIA = {
 
 def verify_all(config: LabConfig | None = None, *, seed: int | None = None) -> VerifyReport:
     """Run the configured acceptance criteria; failures are report entries,
-    never exceptions. The report carries no timestamps so that repeated runs
+    never exceptions. A criterion stopped by a conditioning or capacity
+    limit fails with a "numerical limit: ..." detail and is listed in
+    `limits`. The report carries no timestamps so that repeated runs
     serialize to identical bytes."""
     cfg = config if config is not None else default_config()
     cfg.validate()
     use_seed = cfg.acceptance.seed if seed is None else int(seed)
     results: list[CriterionResult] = []
     durations: dict[int, float] = {}
+    limits: dict[int, str] = {}
     for cid in cfg.acceptance.criteria:
         name, fn = _CRITERIA[cid]
         rng = np.random.default_rng([use_seed, cid])
         t0 = perf_counter()
-        passed, measured, details = fn(cfg, rng)
+        try:
+            passed, measured, details = fn(cfg, rng)
+        except (CapacityError, ConditioningError) as e:
+            limits[cid] = str(e)
+            passed, measured, details = False, {}, f"numerical limit: {e}"
         durations[cid] = perf_counter() - t0
         results.append(CriterionResult(cid, name, bool(passed), measured, details))
     return VerifyReport(
@@ -589,4 +620,5 @@ def verify_all(config: LabConfig | None = None, *, seed: int | None = None) -> V
         seed=use_seed,
         config=config_to_dict(cfg),
         durations=durations,
+        limits=limits,
     )

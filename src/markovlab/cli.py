@@ -245,6 +245,10 @@ def cmd_verify(args) -> int:
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(report_to_json(report))
+    if report.limits:
+        for cid, msg in sorted(report.limits.items()):
+            print(f"{TOOL_NAME}: numerical limit: {msg} (criterion {cid})", file=sys.stderr)
+        return 3
     return 0 if report.all_passed else 1
 
 

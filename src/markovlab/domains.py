@@ -274,6 +274,17 @@ def _check_cap(count: int, cap: int) -> None:
 # Sup-norm grids.
 # ---------------------------------------------------------------------------
 
+def _sup_axis(degree: int, density: int, floor: int) -> np.ndarray:
+    """Ascending Chebyshev-Lobatto points on [-1, 1], endpoints included,
+    with the sup-grid side count max(floor * density / 8, density * degree)."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if density < 1:
+        raise ValueError("density must be >= 1")
+    m = max((floor * density + 7) // 8, density * max(1, degree))
+    return np.cos(np.pi * np.arange(m + 1) / m)[::-1]
+
+
 def sup_grid(domain: Domain, degree: int, *, density: int = 8, floor: int = 64) -> np.ndarray:
     """Physical evaluation points whose max approximates the sup norm.
 
@@ -284,12 +295,8 @@ def sup_grid(domain: Domain, degree: int, *, density: int = 8, floor: int = 64) 
     max(64, 8 * degree). Boundary curves are included (Lobatto endpoints),
     and the Koornwinder corner points are appended explicitly.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if density < 1:
-        raise ValueError("density must be >= 1")
-    m = max((floor * density + 7) // 8, density * max(1, degree))
-    t = np.cos(np.pi * np.arange(m + 1) / m)[::-1]  # ascending, includes +-1
+    t = _sup_axis(degree, density, floor)
+    m = t.size - 1
     if domain.kind in ("koornwinder", "simplex-weighted"):
         U = np.repeat(t, m + 1)
         V = np.tile(t, m + 1)

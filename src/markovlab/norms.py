@@ -6,9 +6,11 @@ construction). General finite p >= 1 falls back to composite Gauss panels
 and is not certified; acceptance-grade checks only ever use the certified
 paths or the 1-D reductions below.
 
-The 1-D reduction integrates |P_n^(a,a)(x)|^p (1 - x^(1/l))^beta over [0,1]
-through the substitution x = t^l, splitting panels at the zeros of the
-Jacobi factor so every panel has a smooth integrand.
+cusp_sup reduces the sup of the cusp families P_k and Q_k over the cusped
+domain to a max over one slice variable. The W_n reduction integrates
+|P_n^(a,a)(x)|^p (1 - x^(1/l))^beta over [0,1] through the substitution
+x = t^l, splitting panels at the zeros of the Jacobi factor so every panel
+has a smooth integrand.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classical import jacobi_P
+from .classical import chebyshev_T, jacobi_P, pk_degree, qk_degree
 from .domains import (
     DEFAULT_NODE_CAP,
     Domain,
+    _sup_axis,
     gauss_legendre_1d,
     map_to_physical,
     quad_rule,
@@ -34,6 +37,7 @@ __all__ = [
     "NormSpec",
     "lp_norm",
     "markov_ratio",
+    "cusp_sup",
     "wn_1d_integral",
     "wn_norms",
     "bernoulli_sandwich",
@@ -171,6 +175,64 @@ def markov_ratio(P: BivariatePoly, axis: str, spec: NormSpec, **norm_kw) -> floa
 
 
 # ---------------------------------------------------------------------------
+# 1-D sup reductions for P_k and Q_k on the cusped domain.
+# ---------------------------------------------------------------------------
+
+# Each refinement round resamples a bracket at this many evenly spaced points
+# and keeps the two cells around the best, shrinking it 8-fold; 12 rounds
+# take a two-cell bracket to 8**-12 (1.5e-11) of its width.
+_ZOOM_POINTS = 17
+_ZOOM_ROUNDS = 12
+
+
+def cusp_sup(family: str, k: int, *, density: int = 8, floor: int = 64) -> float:
+    """sup over the cusped domain of |P_k| (family "pk") or |Q_k| ("qk").
+
+    Both reduce exactly to one slice variable. P_k = (T_k'((2-x)/4)/k)^5 *
+    (1+x+y)/4 is linear in y, which runs over [|x|-1, x^2/4] at fixed x;
+    since (1+x/2)^2 >= 2 max(x, 0), the sup is the max over x in [-2, 2] of
+    |T_k'((2-x)/4)/k|^5 (1+x/2)^2/4. For Q_k = (T_k'((1+y)/2)/k)^5 *
+    (x^2/4-y), |x^2/4-y| peaks at |x| = y+1 on every slice, leaving the max
+    over y in [-1, 1] of |T_k'((1+y)/2)/k|^5 (1-y)^2/4. With t = (2-x)/4
+    and t = (1+y)/2 both profiles are g(t) = |T_k'(t)/k|^5 (1-t)^2 on
+    [0, 1], so the two sups are equal; the family sets only the degree.
+
+    g is sampled on the Chebyshev-Lobatto points sup_grid takes per axis
+    (density and floor keep their meaning there); the two-cell bracket of
+    every grid local maximum is then refined by repeated resampling, all
+    brackets at once. The result is the largest value sampled, so never
+    below the grid max.
+    """
+    if family not in ("pk", "qk"):
+        raise ValueError(f"unknown cusp family {family!r}")
+    if k < 1:
+        raise ValueError("family index must be >= 1")
+
+    def g(t):
+        _, d = chebyshev_T(k, t)
+        return np.abs(d / k) ** 5 * (1.0 - t) ** 2
+
+    degree = pk_degree(k) if family == "pk" else qk_degree(k)
+    t = (1.0 + _sup_axis(degree, density, floor)) / 2.0
+    vals = g(t)
+    padded = np.concatenate([[-np.inf], vals, [-np.inf]])
+    peaks = np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]))[0]
+    lo = t[np.maximum(peaks - 1, 0)]
+    hi = t[np.minimum(peaks + 1, t.size - 1)]
+    best = float(vals.max())
+    frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    rows = np.arange(peaks.size)
+    for _ in range(_ZOOM_ROUNDS):
+        pts = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, 0.0, 1.0)
+        f = g(pts)
+        best = max(best, float(f.max()))
+        j = f.argmax(axis=1)
+        lo = pts[rows, np.maximum(j - 1, 0)]
+        hi = pts[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+    return best
+
+
+# ---------------------------------------------------------------------------
 # 1-D reductions for W_n on the delta-l family.
 # ---------------------------------------------------------------------------
 
@@ -235,6 +297,23 @@ def _adaptive_panel(f, a: float, b: float, depth: int = 0) -> float:
     return _adaptive_panel(f, a, mid, depth + 1) + _adaptive_panel(f, mid, b, depth + 1)
 
 
+def _check_wn_args(n: int, alpha: float, p: float, l: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1")
+    if not (p >= 1.0) or math.isinf(p):
+        raise ValueError("p must be finite and >= 1")
+    if l < 1 or l % 2 == 0:
+        raise ValueError("l must be odd and >= 1")
+
+
+def _wn_breaks(n: int, alpha: float, l: int) -> np.ndarray:
+    """Panel breaks in t: 0, the mapped zeros of the Jacobi factor, 1."""
+    zeros = _jacobi_zeros_01(n, alpha)
+    return np.concatenate([[0.0], zeros ** (1.0 / l), [1.0]])
+
+
 def wn_1d_integral(n: int, alpha: float, p: float, beta_exponent: float, l: int) -> float:
     """integral_0^1 |P_n^(alpha,alpha)(x)|^p (1 - x^(1/l))^beta dx.
 
@@ -244,18 +323,16 @@ def wn_1d_integral(n: int, alpha: float, p: float, beta_exponent: float, l: int)
     a polynomial of a single sign, integrated by one exact Gauss rule;
     otherwise panels are refined adaptively (non-certified).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    if not (p >= 1.0) or math.isinf(p):
-        raise ValueError("p must be finite and >= 1")
-    if l < 1 or l % 2 == 0:
-        raise ValueError("l must be odd and >= 1")
+    _check_wn_args(n, alpha, p, l)
     if beta_exponent < 0:
         raise ValueError("beta_exponent must be >= 0")
-    zeros = _jacobi_zeros_01(n, alpha)
-    breaks = np.concatenate([[0.0], zeros ** (1.0 / l), [1.0]])
+    return _wn_integral(n, alpha, p, beta_exponent, l, _wn_breaks(n, alpha, l))
+
+
+def _wn_integral(
+    n: int, alpha: float, p: float, beta_exponent: float, l: int, breaks: np.ndarray
+) -> float:
+    """wn_1d_integral on precomputed panel breaks, arguments unchecked."""
     f = _wn_integrand(n, alpha, p, beta_exponent, l)
     exact = float(p).is_integer() and float(beta_exponent).is_integer()
     total = 0.0
@@ -283,9 +360,12 @@ def wn_1d_integral(n: int, alpha: float, p: float, beta_exponent: float, l: int)
 def wn_norms(n: int, alpha: float, l: int, p: float) -> tuple[float, float]:
     """(||dW_n/dy||_p, ||W_n||_p) on the delta-l domain, via the 1-D
     reduction over the four symmetric quadrants:
-    ||dW_n/dy||_p^p = 4 I(beta=l) and ||W_n||_p^p = 4 I(beta=(p+1)l) / (p+1)."""
-    i_num = wn_1d_integral(n, alpha, p, float(l), l)
-    i_den = wn_1d_integral(n, alpha, p, (p + 1.0) * l, l)
+    ||dW_n/dy||_p^p = 4 I(beta=l) and ||W_n||_p^p = 4 I(beta=(p+1)l) / (p+1).
+    Both integrals share one set of panel breaks."""
+    _check_wn_args(n, alpha, p, l)
+    breaks = _wn_breaks(n, alpha, l)
+    i_num = _wn_integral(n, alpha, p, float(l), l, breaks)
+    i_den = _wn_integral(n, alpha, p, (p + 1.0) * l, l, breaks)
     return (4.0 * i_num) ** (1.0 / p), (4.0 * i_den / (p + 1.0)) ** (1.0 / p)
 
 

@@ -2,8 +2,9 @@
 
 Nothing here reuses the package's evaluation paths: moments are exact
 rationals, the eigenvalue reference goes through numpy's LAPACK bindings
-on a monomial basis, Jacobi values come from the finite binomial sum, and
-1-D integrals use adaptive Simpson refinement.
+on a monomial basis, Jacobi values come from the finite binomial sum,
+1-D integrals use adaptive Simpson refinement, and the cusp-family sups come
+from the second-kind Chebyshev recurrence with golden-section refinement.
 """
 
 from __future__ import annotations
@@ -204,3 +205,48 @@ def wn_integral_reference(n: int, alpha: float, p: float, beta: float, l: int) -
         ) ** beta
 
     return adaptive_simpson(f, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Sup of the cusp families by the second-kind Chebyshev recurrence.
+# ---------------------------------------------------------------------------
+
+def _chebyshev_U(n: int, t):
+    """U_n(t) by U_{j+1} = 2t U_j - U_{j-1}, with U_0 = 1, U_1 = 2t."""
+    prev, cur = np.ones_like(t), 2.0 * t
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * t * cur - prev
+    return cur
+
+
+def cusp_sup_reference(k: int, points: int = 100_001, steps: int = 100) -> float:
+    """sup over the cusped domain of |P_k|, which equals that of |Q_k|.
+
+    T_k'/k = U_{k-1}, and both slice profiles become g(t) = |U_{k-1}(t)|^5 *
+    (1-t)^2 on t in [0, 1] (P_k with x = 2 - 4t, Q_k with y = 2t - 1).
+    g is scanned on a uniform grid, and every grid local maximum within half
+    of the grid max is refined by scalar golden-section search over its two
+    neighbouring cells.
+    """
+
+    def g(t):
+        return np.abs(_chebyshev_U(k - 1, np.asarray(t, dtype=np.float64))) ** 5 * (1.0 - t) ** 2
+
+    t = np.linspace(0.0, 1.0, points)
+    vals = g(t)
+    best = float(vals.max())
+    padded = np.concatenate([[-1.0], vals, [-1.0]])
+    peaks = np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= best / 2.0))[0]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for i in peaks:
+        a, b = t[max(i - 1, 0)], t[min(i + 1, points - 1)]
+        for _ in range(steps):
+            c, d = b - ratio * (b - a), a + ratio * (b - a)
+            if g(c) >= g(d):
+                b = d
+            else:
+                a = c
+        best = max(best, float(g(a)), float(g(b)))
+    return best

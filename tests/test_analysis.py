@@ -12,8 +12,8 @@ from markovlab.analysis import (
     verify_all,
 )
 from markovlab.config import config_from_dict
-from markovlab.domains import delta_l, koornwinder
-from markovlab.norms import NormSpec, wn_norms
+from markovlab.domains import CapacityError, delta_l, koornwinder, simplex_weighted
+from markovlab.norms import NormSpec, cusp_sup, wn_norms
 from markovlab.spectral import ConditioningError, FactorPoint, l2_markov_sweep, l2_schur_sweep
 
 
@@ -67,6 +67,10 @@ class TestSweepExtremal:
         with pytest.raises(ValueError):
             sweep_extremal("zz", [1, 2, 3], NormSpec(2.0, koornwinder()))
 
+    def test_node_cap_reaches_even_p_norm(self):
+        with pytest.raises(CapacityError):
+            sweep_extremal("pk", [2, 3], NormSpec(2.0, koornwinder()), node_cap=10)
+
 
 class TestExtremalRows:
     def test_floors(self):
@@ -88,6 +92,33 @@ class TestExtremalRows:
         rows = extremal_rows("pk", [2, 4], spec)
         pts = sweep_extremal("pk", [2, 4], spec)
         assert pts == [FactorPoint(r.degree, r.ratio, "extremal-sequence") for r in rows]
+
+    @pytest.mark.parametrize("family", ["pk", "qk"])
+    def test_sup_rows_are_the_slice_sups(self, family):
+        rows = extremal_rows(
+            family, [3, 7], NormSpec(math.inf, koornwinder()), grid_density=16, grid_floor=32
+        )
+        assert [r.norm for r in rows] == [
+            cusp_sup(family, k, density=16, floor=32) for k in (3, 7)
+        ]
+
+    @pytest.mark.parametrize("family", ["pk", "qk"])
+    def test_coarse_grid_gives_the_same_slope(self, family):
+        """The slice sup is exact, so starving its grid does not move the fit."""
+        spec = NormSpec(math.inf, koornwinder())
+        slopes = [
+            fit_exponent(
+                sweep_extremal(family, range(4, 21), spec, grid_density=d, grid_floor=f)
+            ).slope
+            for d, f in ((1, 8), (8, 64))
+        ]
+        assert abs(slopes[0] - slopes[1]) <= 1e-9
+
+    def test_cusp_families_need_the_cusped_domain(self):
+        for family in ("pk", "qk"):
+            for spec in (NormSpec(math.inf, delta_l(1)), NormSpec(2.0, simplex_weighted())):
+                with pytest.raises(ValueError, match="cusped domain"):
+                    extremal_rows(family, [2], spec)
 
     def test_wn_needs_delta_l_and_finite_p(self):
         with pytest.raises(ValueError, match="delta-l"):
@@ -166,6 +197,30 @@ class TestVerifyAll:
         report = verify_all(cfg)
         assert report.all_passed
         assert report.results == []
+
+    def test_numerical_limit_is_report_entry_not_exception(self):
+        cfg = config_from_dict({
+            "power_iteration": {"condition_limit": 100.0},
+            "acceptance": {"criteria": [5, 9]},
+        })
+        report = verify_all(cfg)
+        c5, c9 = report.results
+        assert (c5.cid, c5.passed, c5.measured) == (5, False, {})
+        assert c5.details.startswith("numerical limit: triangular factor spread")
+        assert c9.passed
+        assert list(report.limits) == [5]
+        doc = json.loads(report_to_json(report))
+        assert set(doc) == {"version", "seed", "all_passed", "criteria", "config"}
+        assert [c["id"] for c in doc["criteria"]] == [5, 9]
+
+    def test_capacity_limit_is_report_entry_not_exception(self):
+        cfg = config_from_dict({
+            "quadrature": {"node_cap": 10},
+            "acceptance": {"criteria": [1]},
+        })
+        [c1] = verify_all(cfg).results
+        assert not c1.passed
+        assert c1.details.startswith("numerical limit: rule needs")
 
     def test_failure_is_report_entry_not_exception(self):
         # shrink the extremal window so criterion 4 must miss it

@@ -183,15 +183,22 @@ class TestVerify:
         assert [c["id"] for c in doc["criteria"]] == [1, 2, 9]
 
     def test_degraded_grid_fails(self, tmp_path):
-        # starving the sup grid drags the fitted exponent below its window
+        # starving the sup grid neither rescues nor moves criterion 4: the
+        # 1-D slice sups are exact, so the fit still misses its window and
+        # density doubling still leaves the slope where it was
         cfg = tmp_path / "coarse.json"
         cfg.write_text(json.dumps({
             "sup_grid": {"density": 1, "floor": 8},
             "acceptance": {"criteria": [4]},
         }))
-        res = run_cli("verify", "--config", str(cfg))
+        rep = tmp_path / "report.json"
+        res = run_cli("verify", "--config", str(cfg), "--json", str(rep))
         assert res.returncode == 1
         assert "[FAIL]" in res.stdout
+        [c4] = json.loads(rep.read_text())["criteria"]
+        lo, hi = c4["measured"]["window"]
+        assert not lo <= c4["measured"]["slope"] <= hi
+        assert c4["measured"]["stability_shift"] <= 1e-9
 
     def test_reruns_byte_identical_reports(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -209,11 +216,16 @@ class TestVerify:
         cfg = tmp_path / "tight.json"
         cfg.write_text(json.dumps({
             "power_iteration": {"condition_limit": 100.0},
-            "acceptance": {"criteria": [5]},
+            "acceptance": {"criteria": [5, 9]},
         }))
-        res = run_cli("verify", "--config", str(cfg))
+        rep = tmp_path / "report.json"
+        res = run_cli("verify", "--config", str(cfg), "--json", str(rep))
         assert res.returncode == 3
         assert "numerical limit: triangular factor spread" in res.stderr
+        # the report is still written and keeps every criterion that ran
+        doc = json.loads(rep.read_text())
+        assert [(c["id"], c["passed"]) for c in doc["criteria"]] == [(5, False), (9, True)]
+        assert doc["criteria"][0]["details"].startswith("numerical limit: ")
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -10,13 +10,14 @@ from markovlab.domains import delta_l, koornwinder, quad_rule, simplex_weighted
 from markovlab.norms import (
     NormSpec,
     bernoulli_sandwich,
+    cusp_sup,
     lp_norm,
     markov_ratio,
     wn_1d_integral,
     wn_norms,
 )
 from markovlab.poly2d import BivariatePoly
-from oracles import wn_integral_reference
+from oracles import cusp_sup_reference, wn_integral_reference
 
 ONE = BivariatePoly([[1.0]])
 X = BivariatePoly.from_terms({(1, 0): 1.0})
@@ -94,14 +95,47 @@ class TestMarkovRatio:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_first_family_lower_bound(self, k):
-        """Closed-form cusp slope over grid sup-norm beats k^4/4; the grid
-        under-estimates the true sup, so this is conservative the right way."""
-        spec = NormSpec(math.inf, koornwinder())
-        sup = lp_norm(
-            lambda x, y: classical.pk_value(k, x, y), spec, degree=classical.pk_degree(k)
-        )
-        ratio = classical.pk_cusp_derivative(k) / sup
+        """Closed-form cusp slope over the 1-D slice sup beats k^4/4. A grid
+        sup under-reads the sup and so over-states the ratio; the slice sup
+        is the exact sup up to rounding, so the bound is checked honestly."""
+        ratio = classical.pk_cusp_derivative(k) / cusp_sup("pk", k)
         assert ratio >= k**4 / 4.0
+
+
+class TestCuspSup:
+    @pytest.mark.parametrize("family", ["pk", "qk"])
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_oracle(self, family, k):
+        assert cusp_sup(family, k) == pytest.approx(cusp_sup_reference(k), rel=1e-12)
+
+    @pytest.mark.parametrize("density", [8, 16])
+    @pytest.mark.parametrize("family", ["pk", "qk"])
+    def test_not_below_2d_grid(self, family, density):
+        """The slice sup is never below the max over the 2-D sup grid, and
+        above it by no more than that grid's resolution (measured shortfall
+        at most 1.9e-3 at density 8), so the reduction over-reads nothing."""
+        spec = NormSpec(math.inf, koornwinder())
+        value = classical.pk_value if family == "pk" else classical.qk_value
+        degree = classical.pk_degree if family == "pk" else classical.qk_degree
+        for k in (1, 2, 3, 5, 8, 13, 20):
+            grid = lp_norm(
+                lambda x, y: value(k, x, y), spec, degree=degree(k), grid_density=density
+            )
+            sup = cusp_sup(family, k, density=density)
+            assert sup * (1.0 - 2.5e-3) <= grid <= sup
+
+    def test_corner_values_exact(self):
+        # k = 1: P_1 = (1+x+y)/4 and Q_1 = x^2/4 - y peak at 1 on a corner
+        assert cusp_sup("pk", 1) == 1.0
+        assert cusp_sup("qk", 1) == 1.0
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="family"):
+            cusp_sup("wn", 3)
+        with pytest.raises(ValueError, match="index"):
+            cusp_sup("pk", 0)
+        with pytest.raises(ValueError, match="density"):
+            cusp_sup("qk", 3, density=0)
 
 
 class TestWnIntegral:
@@ -160,6 +194,16 @@ class TestWnRatio:
         ratio_2d = markov_ratio(w, "y", spec)
         assert wn_ratio(n, alpha, 1, p) == pytest.approx(ratio_2d, rel=1e-6)
         assert wn_norms(n, alpha, 1, p)[1] == pytest.approx(lp_norm(w, spec), rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_norms_are_the_1d_integrals(self, p):
+        # wn_norms shares one set of panel breaks; the values must be the
+        # same doubles as two separate wn_1d_integral calls
+        n, alpha, l = 9, 14.0, 3
+        dnorm, norm = wn_norms(n, alpha, l, p)
+        assert dnorm == (4.0 * wn_1d_integral(n, alpha, p, float(l), l)) ** (1.0 / p)
+        i_den = wn_1d_integral(n, alpha, p, (p + 1.0) * l, l)
+        assert norm == (4.0 * i_den / (p + 1.0)) ** (1.0 / p)
 
     def test_growth_is_steep(self):
         lo = wn_ratio(8, 14.0, 3, 2.0)
