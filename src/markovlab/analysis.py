@@ -281,6 +281,13 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
+def _limits(cfg: LabConfig) -> dict:
+    """The configured residual tolerance and conditioning limit, as the
+    keyword arguments every spectral solve takes."""
+    pw = cfg.power_iteration
+    return {"tol": pw.tolerance, "cond_limit": pw.condition_limit}
+
+
 def _c1_geometry(cfg: LabConfig, rng: np.random.Generator):
     acc = cfg.acceptance
     margin = cfg.quadrature.exactness_margin
@@ -399,11 +406,7 @@ def _c4_extremal_fit(cfg: LabConfig, _rng):
 def _c5_koornwinder(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     lo, hi = acc.koornwinder_degree_range
-    pts = l2_markov_sweep(
-        koornwinder(), "y", range(lo, hi + 1),
-        tol=cfg.power_iteration.tolerance,
-        cond_limit=cfg.power_iteration.condition_limit,
-    )
+    pts = l2_markov_sweep(koornwinder(), "y", range(lo, hi + 1), **_limits(cfg))
     fit = fit_exponent(pts)
     values = [p.value for p in pts]
     nondecreasing = all(b >= a for a, b in zip(values, values[1:]))
@@ -429,11 +432,7 @@ def _c6_simplex(cfg: LabConfig, _rng):
     ok = True
     details = []
     for axis in ("x", "y"):
-        pts = l2_markov_sweep(
-            simplex_weighted(), axis, range(lo, hi + 1),
-            tol=cfg.power_iteration.tolerance,
-            cond_limit=cfg.power_iteration.condition_limit,
-        )
+        pts = l2_markov_sweep(simplex_weighted(), axis, range(lo, hi + 1), **_limits(cfg))
         fit = fit_exponent(pts)
         measured[f"slope_{axis}"] = fit.slope
         in_window = wlo <= fit.slope <= whi
@@ -450,15 +449,12 @@ def _c6_simplex(cfg: LabConfig, _rng):
 
 def _c7_schur(cfg: LabConfig, _rng):
     acc = cfg.acceptance
-    base = l2_schur_factor(0, tol=cfg.power_iteration.tolerance).value
+    lim = _limits(cfg)
+    base = l2_schur_factor(0, **lim).value
     base_expect = math.sqrt(5.0 / 6.0)
     base_err = _rel_err(base, base_expect)
     lo, hi = acc.schur_degree_range
-    pts = l2_schur_sweep(
-        range(lo, hi + 1),
-        tol=cfg.power_iteration.tolerance,
-        cond_limit=cfg.power_iteration.condition_limit,
-    )
+    pts = l2_schur_sweep(range(lo, hi + 1), **lim)
     fit = fit_exponent(pts)
     passed = base_err <= acc.schur_base_rtol and fit.slope <= acc.schur_slope_max
     return passed, {
@@ -516,19 +512,19 @@ def _c10_oracle(cfg: LabConfig, _rng):
     acc = cfg.acceptance
     worst_eigen = 0.0
     worst_witness = 0.0
-    pw = cfg.power_iteration
+    lim = _limits(cfg)
     for dom in (koornwinder(), simplex_weighted()):
         for axis in ("x", "y"):
             for n in range(1, acc.oracle_max_degree + 1):
-                fast = l2_markov_factor(n, axis, dom, tol=pw.tolerance).value
+                fast = l2_markov_factor(n, axis, dom, **lim).value
                 slow = dense_markov_oracle(n, axis, dom)
                 worst_eigen = max(worst_eigen, _rel_err(fast, slow))
     for n in range(0, acc.oracle_max_degree + 1):
-        fast = l2_schur_factor(n, tol=pw.tolerance).value
+        fast = l2_schur_factor(n, **lim).value
         slow = dense_schur_oracle(n)
         worst_eigen = max(worst_eigen, _rel_err(fast, slow))
     for n in range(1, acc.oracle_max_degree + 1):
-        point, poly = markov_witness(n, "y", koornwinder(), tol=pw.tolerance)
+        point, poly = markov_witness(n, "y", koornwinder(), **lim)
         ratio = markov_ratio(poly, "y", NormSpec(2.0, koornwinder()))
         worst_witness = max(worst_witness, _rel_err(ratio, point.value))
     passed = worst_eigen <= acc.oracle_rtol and worst_witness <= acc.oracle_rtol
@@ -546,13 +542,13 @@ def _c10_oracle(cfg: LabConfig, _rng):
 def _c11_determinism(cfg: LabConfig, _rng):
     """The nested sweeps against independent per-degree solves, and two
     reruns of each against each other, cell for cell."""
-    pw = cfg.power_iteration
+    lim = _limits(cfg)
     ns = range(2, 7)
     sweeps = (
-        (lambda: l2_schur_sweep(ns, tol=pw.tolerance),
-         lambda n: l2_schur_factor(n, tol=pw.tolerance)),
-        (lambda: l2_markov_sweep(koornwinder(), "y", ns, tol=pw.tolerance),
-         lambda n: l2_markov_factor(n, "y", koornwinder(), tol=pw.tolerance)),
+        (lambda: l2_schur_sweep(ns, **lim),
+         lambda n: l2_schur_factor(n, **lim)),
+        (lambda: l2_markov_sweep(koornwinder(), "y", ns, **lim),
+         lambda n: l2_markov_factor(n, "y", koornwinder(), **lim)),
     )
     worst = 0.0
     identical = True

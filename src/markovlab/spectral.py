@@ -9,24 +9,39 @@ by n ~ 8), and the pencil is solved inverse-free:
     G = R^T R with R from a modified Gram-Schmidt QR of sqrt(W) B, where B
     is the basis-by-node value matrix of an exact quadrature rule, so R is
     the Cholesky factor of G computed at the square root of its condition
-    number; A stays in the factored form C^T C, and the symmetric operator
-    is M = K^T K with K = sqrt(W) C R^{-1}, formed by triangular solves.
+    number; A stays in the factored form C^T C, and the top eigenvalue is
+    that of M = K^T K with K = sqrt(W) C R^{-1}, formed by triangular
+    solves. M itself is only ever formed in float64, as a seed.
+
+Parity classes. T_i(x/sx) T_j(y/sy) has x-parity (-1)^i and y-parity
+(-1)^j. The cusped domain is symmetric under x -> -x and Delta_l under both
+reflections, so on those domains every Gram vanishes between basis columns
+of different parity, and the pencil is block diagonal: two classes on the
+cusped domain, four on Delta_l, one on the weighted simplex and for the
+Schur pencil. Each class gets its own QR and its own K, which halves the
+extended-precision work on the cusped domain, and the value is the largest
+class top.
 
 The basis is graded, so the degree-n basis is the first dim(n) columns of
-the degree-n_max basis. Gram-Schmidt takes columns in order, so the R of a
-column prefix is the leading block of the full R; R^{-1} is upper
-triangular as well, so the degree-n operator is the leading dim(n) block of
-M. A sweep over degrees therefore builds one rule (exact to 2 n_max), one
-node-matrix pair, one QR and one M, and reads every degree off M.
+the degree-n_max basis, and a class's columns are a subsequence of that
+order. Gram-Schmidt takes columns in order, so the R of a column prefix is
+the leading block of the full R; R^{-1} is upper triangular as well, so the
+degree-n K of a class is the leading block of its K at n_max. A sweep over
+degrees therefore builds one rule (exact to 2 n_max), one node-matrix pair,
+and one QR and one K per class, and reads every degree off leading blocks.
+The conditioning gate reads the spread of the class R diagonals merged back
+into column order, the same diagonal a QR of all columns would give.
 
-Per degree, a float64 LAPACK eigh of the block only seeds the top
-eigenvector v. The value is sqrt(theta), with the Rayleigh quotient
-theta = v^T M_k v evaluated in extended precision; its error is quadratic in
-the seed's. The relative residual ||M_k v - theta v|| / theta bounds the
-distance from theta to an eigenvalue of M_k (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4), and that bound, not the seed, certifies the
-value: a degree whose residual exceeds the tolerance is refused like a
-conditioning failure.
+Per degree and class, a float64 LAPACK eigh of the BLAS product K^T K (K
+cast down) only seeds the top eigenvector v. The value is sqrt(theta), with
+the Rayleigh quotient theta = ||K v||^2 evaluated in extended precision
+straight from K; its error is quadratic in the seed's. The relative residual
+||K^T (K v) - theta v|| / theta of the winning class bounds the distance
+from theta to an eigenvalue of M (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), and that bound, not the seed, certifies the value: a degree
+whose residual exceeds the tolerance is refused like a conditioning failure.
+Dropping the extended-precision M saves k^2 N multiply-adds per sweep
+(k columns, N nodes) and costs 2 k N per degree.
 
 Everything but the seed runs in numpy.longdouble (80-bit extended on x86),
 which is what makes the upper sweep ends (Koornwinder n = 14, simplex and
@@ -354,18 +369,59 @@ def _schur_pencil(n_max: int):
     return mats[0], mats[1]
 
 
-def _nested_tops(ns: list[int], num: np.ndarray, den: np.ndarray, *, tol, cond_limit):
-    """The top of the pencil (N_k^T N_k, D_k^T D_k) for every n in ns, where
-    N_k and D_k are the first k = dim(n) columns of num and den.
+def _parity_classes(kind: str, n_max: int) -> list[np.ndarray]:
+    """Column indices of the degree-n_max graded basis, one ascending array
+    per parity class that the domain's reflections preserve.
 
-    Returns R (the QR factor of den) and one (n, value, v) per degree, v the
-    unit top eigenvector of M_k = K_k^T K_k, K_k = N_k R_k^{-1}. Degrees are
-    taken in the order given; the first whose R prefix spreads past
-    cond_limit, or whose relative eigen residual exceeds tol, raises
-    ConditioningError carrying the points completed before it.
+    T_i(x/sx) T_j(y/sy) has x-parity (-1)^i and y-parity (-1)^j. The cusped
+    domain is symmetric under x -> -x and Delta_l under both reflections,
+    and every rule is exact to 2 n_max, so the Gram and both derivative
+    Grams vanish between classes (d/dx flips the x-parity of both factors of
+    a product, which keeps the product's). The weighted simplex, and the
+    Schur pencil on it, keep no parity of this basis: one class.
     """
-    _, R = _mgs(den)
-    diag = np.diagonal(R)
+    idx = _graded_indices(n_max)
+    if kind == "koornwinder":
+        keys = [i % 2 for i, _ in idx]
+    elif kind == "delta-l":
+        keys = [(i % 2, j % 2) for i, j in idx]
+    else:
+        return [np.arange(len(idx))]
+    return [
+        np.array([a for a, key in enumerate(keys) if key == cls])
+        for cls in sorted(set(keys))
+    ]
+
+
+def _nested_tops(
+    ns: list[int], num: np.ndarray, den: np.ndarray, kind: str, *, tol, cond_limit
+):
+    """The top of the pencil (N_k^T N_k, D_k^T D_k) for every n in ns, where
+    N_k and D_k are the first k = dim(n) columns of num and den, the
+    degree-max(ns) basis matrices on a rule of a domain of this kind.
+
+    The pencil is block diagonal over the parity classes of
+    _parity_classes. Each class c gets its own R_c by _mgs of its den
+    columns and its own K_c = N_c R_c^{-1} by one forward solve, and its
+    degree-n block is a leading block of those. Per degree and class, a
+    float64 eigh of the BLAS product K_c^T K_c (K_c cast down) seeds the top
+    eigenvector v; theta = ||K_c v||^2 and the residual
+    K_c^T (K_c v) - theta v are taken in extended precision straight from
+    K_c, so no extended-precision K^T K is formed. The degree's value is the
+    largest class top.
+
+    Returns [(cols, R_c)] per class and one (n, value, c, v) per degree, v
+    the unit top eigenvector of the winning class c. Degrees are taken in
+    the order given; the first whose R prefix (the class diagonals merged
+    back into column order) spreads past cond_limit, or whose winning
+    relative eigen residual exceeds tol, raises ConditioningError carrying
+    the points completed before it.
+    """
+    classes = _parity_classes(kind, max(ns))
+    factors = [(cols, _mgs(den[:, cols])[1]) for cols in classes]
+    diag = np.empty(den.shape[1], dtype=den.dtype)
+    for cols, R in factors:
+        diag[cols] = np.diagonal(R)
     dims = [space_dimension(n) for n in ns]
     failure = None
     ok = len(ns)
@@ -375,29 +431,40 @@ def _nested_tops(ns: list[int], num: np.ndarray, den: np.ndarray, *, tol, cond_l
             failure, ok = (n, reason), i
             break
     k_top = max(dims[:ok], default=0)
-    Kt = _forward_solve(R[:k_top, :k_top].T, num[:, :k_top].T)
-    M = Kt @ Kt.T
-    del Kt
+    blocks = []
+    for cols, R in factors:
+        kc = int(np.searchsorted(cols, k_top))
+        Kt = _forward_solve(R[:kc, :kc].T, num[:, cols[:kc]].T)
+        Kf = Kt.astype(np.float64)
+        blocks.append((Kt, Kf @ Kf.T))
     done = []
     for n, k in zip(ns[:ok], dims):
-        Mk = M[:k, :k]
-        _, V = np.linalg.eigh(Mk.astype(np.float64))  # seed only
-        v = V[:, -1].astype(np.longdouble)
-        v /= np.sqrt(v @ v)
-        Mv = Mk @ v
-        theta = v @ Mv
-        r = Mv - theta * v
+        best = None
+        for c, ((cols, _), (Kt, Mf)) in enumerate(zip(factors, blocks)):
+            kc = int(np.searchsorted(cols, k))
+            if kc == 0:
+                continue
+            _, V = np.linalg.eigh(Mf[:kc, :kc])  # seed only
+            v = V[:, -1].astype(np.longdouble)
+            v /= np.sqrt(v @ v)
+            Ktk = Kt[:kc]
+            Kv = v @ Ktk
+            theta = Kv @ Kv
+            if best is None or theta > best[0]:
+                best = (theta, c, v, Ktk, Kv)
+        theta, c, v, Ktk, Kv = best
+        r = Ktk @ Kv - theta * v
         res = np.sqrt(r @ r)
         bound = float(res / theta) if theta > 0 else (0.0 if res == 0 else math.inf)
         if not bound <= tol:
             failure = (n, f"eigen residual {bound:.1e} exceeds {tol:.1e}; reduce n")
             break
-        done.append((n, float(np.sqrt(max(theta, 0))), v))
+        done.append((n, float(np.sqrt(theta)), c, v))
     if failure is not None:
         n, reason = failure
-        partial = [FactorPoint(m, value, "eigen") for m, value, _ in done]
+        partial = [FactorPoint(m, value, "eigen") for m, value, _, _ in done]
         raise ConditioningError(reason, n, partial)
-    return R, done
+    return factors, done
 
 
 def l2_markov_sweep(
@@ -419,8 +486,8 @@ def l2_markov_sweep(
     if not ns:
         return []
     num, den = _markov_pencil(domain, axis, max(ns))
-    _, done = _nested_tops(ns, num, den, tol=tol, cond_limit=cond_limit)
-    return [FactorPoint(n, value, "eigen") for n, value, _ in done]
+    _, done = _nested_tops(ns, num, den, domain.kind, tol=tol, cond_limit=cond_limit)
+    return [FactorPoint(n, value, "eigen") for n, value, _, _ in done]
 
 
 def l2_schur_sweep(
@@ -432,8 +499,8 @@ def l2_schur_sweep(
     if not ns:
         return []
     num, den = _schur_pencil(max(ns))
-    _, done = _nested_tops(ns, num, den, tol=tol, cond_limit=cond_limit)
-    return [FactorPoint(n, value, "eigen") for n, value, _ in done]
+    _, done = _nested_tops(ns, num, den, "simplex-weighted", tol=tol, cond_limit=cond_limit)
+    return [FactorPoint(n, value, "eigen") for n, value, _, _ in done]
 
 
 def l2_markov_factor(
@@ -452,7 +519,9 @@ def l2_markov_factor(
     """
     [n] = _degrees([n])
     num, den = _markov_pencil(domain, axis, n)
-    _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
+    _, [(_, value, _, _)] = _nested_tops(
+        [n], num, den, domain.kind, tol=tol, cond_limit=cond_limit
+    )
     return FactorPoint(n, value, "eigen")
 
 
@@ -464,14 +533,22 @@ def markov_witness(
     tol: float = RESIDUAL_TOL,
     cond_limit: float = COND_LIMIT,
 ) -> tuple[FactorPoint, BivariatePoly]:
-    """The factor together with an extremal polynomial realizing it."""
+    """The factor together with an extremal polynomial realizing it.
+
+    The extremal lies in one parity class: its coefficients on that class's
+    basis columns are R_c^{-1} v, and zero on every other column.
+    """
     [n] = _degrees([n])
     num, den = _markov_pencil(domain, axis, n)
-    R, [(_, value, v)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
-    coeffs = _upper_inverse(R) @ v
+    factors, [(_, value, c, v)] = _nested_tops(
+        [n], num, den, domain.kind, tol=tol, cond_limit=cond_limit
+    )
+    cols, R = factors[c]
+    coeffs = np.zeros(space_dimension(n))
+    coeffs[cols] = np.asarray(_upper_inverse(R) @ v, dtype=np.float64)
     acc = BivariatePoly.zero()
-    for c, p in zip(np.asarray(coeffs, dtype=np.float64), basis(n, domain)):
-        acc = acc + p.scale(float(c))
+    for a, p in zip(coeffs, basis(n, domain)):
+        acc = acc + p.scale(float(a))
     return FactorPoint(n, value, "eigen"), acc
 
 
@@ -485,7 +562,9 @@ def l2_schur_factor(
     on the weighted simplex."""
     [n] = _degrees([n])
     num, den = _schur_pencil(n)
-    _, [(_, value, _)] = _nested_tops([n], num, den, tol=tol, cond_limit=cond_limit)
+    _, [(_, value, _, _)] = _nested_tops(
+        [n], num, den, "simplex-weighted", tol=tol, cond_limit=cond_limit
+    )
     return FactorPoint(n, value, "eigen")
 
 

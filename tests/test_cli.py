@@ -227,6 +227,25 @@ class TestVerify:
         assert [(c["id"], c["passed"]) for c in doc["criteria"]] == [(5, False), (9, True)]
         assert doc["criteria"][0]["details"].startswith("numerical limit: ")
 
+    def test_condition_limit_reaches_every_spectral_criterion(self, tmp_path):
+        # every R prefix past n = 0 spreads beyond 1.5 (omega at n = 1:
+        # 3.162), so each of criteria 7, 10 and 11 stops at its first solve
+        # past n = 0 instead of running on the default limit 1e13
+        cfg = tmp_path / "tight.json"
+        cfg.write_text(json.dumps({
+            "power_iteration": {"condition_limit": 1.5},
+            "acceptance": {"criteria": [7, 10, 11]},
+        }))
+        rep = tmp_path / "report.json"
+        res = run_cli("verify", "--config", str(cfg), "--json", str(rep))
+        assert res.returncode == 3
+        doc = json.loads(rep.read_text())
+        assert [(c["id"], c["passed"]) for c in doc["criteria"]] == [
+            (7, False), (10, False), (11, False)
+        ]
+        for c in doc["criteria"]:
+            assert c["details"].startswith("numerical limit: triangular factor spread")
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"acceptance": {"no_such_knob": 1}}))

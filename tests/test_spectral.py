@@ -1,11 +1,14 @@
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from markovlab.domains import koornwinder, quad_rule, simplex_weighted
+from markovlab.domains import delta_l, koornwinder, quad_rule, simplex_weighted
 from markovlab.norms import NormSpec, markov_ratio
 from markovlab.spectral import (
     ConditioningError,
@@ -13,6 +16,7 @@ from markovlab.spectral import (
     _graded_indices,
     _mgs_r,
     _node_matrices,
+    _parity_classes,
     _upper_inverse,
     basis,
     dense_markov_oracle,
@@ -103,6 +107,30 @@ class TestMarkovFactor:
             ratio = markov_ratio(poly, "y", NormSpec(2.0, koornwinder()))
             assert ratio == pytest.approx(pt.value, rel=1e-8)
 
+    def test_witness_from_either_parity_class(self):
+        # each witness is built in its winning x-parity class alone; omega-x
+        # at n = 1 wins in the odd class, every other case here in the even
+        winners = set()
+        for axis in ("x", "y"):
+            for n in range(1, 5):
+                pt, poly = markov_witness(n, axis, koornwinder())
+                ratio = markov_ratio(poly, axis, NormSpec(2.0, koornwinder()))
+                assert ratio == pytest.approx(pt.value, rel=1e-9)
+                parities = {int(i) % 2 for i in np.nonzero(poly.coeffs)[0]}
+                assert len(parities) == 1
+                winners |= parities
+        assert winners == {0, 1}
+
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_delta_sweep_matches_dense_oracle(self, l, axis):
+        # Delta_l keeps both parities: four classes from n = 2 on
+        assert len(_parity_classes("delta-l", 3)) == 4
+        pts = l2_markov_sweep(delta_l(l), axis, range(1, 4))
+        for pt in pts:
+            slow = dense_markov_oracle(pt.n, axis, delta_l(l))
+            assert pt.value == pytest.approx(slow, rel=1e-9)
+
     @given(scale=st.floats(min_value=0.25, max_value=4.0, allow_nan=False))
     def test_scale_invariance(self, scale):
         # the value belongs to the space, not to the basis it is solved in
@@ -152,8 +180,10 @@ def svd_reference(n: int, axis: str, domain) -> float:
     return float(np.linalg.svd(K.astype(np.float64), compute_uv=False)[0])
 
 
-# the four sweeps of criteria 5-7 at their default degree ranges
+# the four sweeps of criteria 5-7 at their default degree ranges, and omega-x
 BENCH_SWEEPS = {
+    "omega-x": (lambda ns: l2_markov_sweep(koornwinder(), "x", ns),
+                lambda n: l2_markov_factor(n, "x", koornwinder()), range(4, 15)),
     "omega-y": (lambda ns: l2_markov_sweep(koornwinder(), "y", ns),
                 lambda n: l2_markov_factor(n, "y", koornwinder()), range(4, 15)),
     "simplex-x": (lambda ns: l2_markov_sweep(simplex_weighted(), "x", ns),
@@ -162,6 +192,13 @@ BENCH_SWEEPS = {
                   lambda n: l2_markov_factor(n, "y", simplex_weighted()), range(4, 17)),
     "schur": (l2_schur_sweep, l2_schur_factor, range(4, 17)),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def default_sweep(name: str) -> dict[int, float]:
+    """{n: value} of one BENCH_SWEEPS sweep, computed once per test run."""
+    sweep, _, ns = BENCH_SWEEPS[name]
+    return {pt.n: pt.value for pt in sweep(ns)}
 
 
 class TestNestedSweep:
@@ -175,11 +212,11 @@ class TestNestedSweep:
 
     @pytest.mark.parametrize("name", sorted(BENCH_SWEEPS))
     def test_sweep_matches_per_degree_solves(self, name):
-        sweep, single, ns = BENCH_SWEEPS[name]
-        pts = sweep(ns)
-        assert [p.n for p in pts] == list(ns)
-        for pt in pts:
-            assert pt.value == pytest.approx(single(pt.n).value, rel=1e-9)
+        _, single, ns = BENCH_SWEEPS[name]
+        values = default_sweep(name)
+        assert list(values) == list(ns)
+        for n, value in values.items():
+            assert value == pytest.approx(single(n).value, rel=1e-9)
 
     def test_input_order_kept(self):
         fwd = l2_schur_sweep([1, 2, 3])
@@ -191,6 +228,39 @@ class TestNestedSweep:
         assert l2_schur_sweep([]) == []
         with pytest.raises(ValueError):
             l2_markov_sweep(koornwinder(), "y", [2, -1])
+
+
+# 110-digit values from scripts/make_l2_reference.py (exact rational monomial
+# moments, mpmath Cholesky and inverse iteration)
+L2_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "l2_reference.json").read_text()
+)["values"]
+
+class TestHighPrecisionReference:
+    # (sweep, reference group, bound for n <= 14, bound above)
+    CASES = [
+        ("omega-x", "omega/x", 1e-12, None),
+        ("omega-y", "omega/y", 1e-12, None),
+        ("simplex-x", "simplex-weighted/x", 1e-13, 1e-13),
+        # the simplex is symmetric under (u, v) -> (-v, -u), which swaps the
+        # axes, so both sweeps are checked against the x references
+        ("simplex-y", "simplex-weighted/x", 1e-13, 1e-13),
+        ("schur", "schur", 1e-10, 2e-9),
+    ]
+
+    @pytest.mark.parametrize("name,group,low,high", CASES)
+    def test_sweep_ends_match_reference(self, name, group, low, high):
+        got = default_sweep(name)
+        for n, text in L2_REFERENCE[group].items():
+            want = float(text)
+            bound = low if int(n) <= 14 else high
+            assert abs(got[int(n)] - want) <= bound * want
+
+    def test_simplex_axes_agree(self):
+        x, y = default_sweep("simplex-x"), default_sweep("simplex-y")
+        assert sorted(x) == list(range(4, 17))
+        for n in x:
+            assert x[n] == pytest.approx(y[n], rel=1e-13)
 
 
 class TestFactorPoint:
