@@ -154,14 +154,9 @@ def qk_degree(k: int) -> int:
     return 5 * k - 3
 
 
-def _check_family_index(k: int, degree: int) -> None:
+def _check_family_index(k: int) -> None:
     if k < 1:
         raise ValueError("family index must be >= 1")
-    if degree > MAX_TOTAL_DEGREE:
-        raise ValueError(
-            f"index {k} gives degree {degree} > cap {MAX_TOTAL_DEGREE}; "
-            "the float64 expansion would be unusable"
-        )
 
 
 def build_pk(k: int) -> BivariatePoly:
@@ -170,7 +165,9 @@ def build_pk(k: int) -> BivariatePoly:
     P_k(x, y) = [T_k'((2 - x)/4) / k]^5 * (1 + x + y)/4, total degree 5k - 4.
     Assembled exactly in rational arithmetic, rounded once to float64.
     """
-    _check_family_index(k, pk_degree(k))
+    _check_family_index(k)
+    if pk_degree(k) > MAX_TOTAL_DEGREE:
+        raise ValueError(f"degree {pk_degree(k)} > cap {MAX_TOTAL_DEGREE}")
     dcoef = _polyder_int(_cheb_coeffs_int(k))
     f = _affine_compose(dcoef, Fraction(-1, 4), Fraction(1, 2))
     f = [c / k for c in f]
@@ -191,7 +188,9 @@ def build_qk(k: int) -> BivariatePoly:
 
     Q_k(x, y) = [T_k'((1 + y)/2) / k]^5 * (x^2/4 - y), total degree 5k - 3.
     """
-    _check_family_index(k, qk_degree(k))
+    _check_family_index(k)
+    if qk_degree(k) > MAX_TOTAL_DEGREE:
+        raise ValueError(f"degree {qk_degree(k)} > cap {MAX_TOTAL_DEGREE}")
     dcoef = _polyder_int(_cheb_coeffs_int(k))
     f = _affine_compose(dcoef, Fraction(1, 2), Fraction(1, 2))
     f = [c / k for c in f]
@@ -245,7 +244,7 @@ def build_wn(n: int, alpha: float) -> BivariatePoly:
 
 def pk_value(k: int, x, y):
     """P_k evaluated through the Chebyshev recurrence (well conditioned)."""
-    _check_family_index(k, pk_degree(k))
+    _check_family_index(k)
     x = np.asarray(x)
     _, d = chebyshev_T(k, (2.0 - x) / 4.0)
     return (d / k) ** 5 * (1.0 + x + np.asarray(y)) / 4.0
@@ -253,7 +252,7 @@ def pk_value(k: int, x, y):
 
 def qk_value(k: int, x, y):
     """Q_k evaluated through the Chebyshev recurrence."""
-    _check_family_index(k, qk_degree(k))
+    _check_family_index(k)
     y = np.asarray(y)
     _, d = chebyshev_T(k, (1.0 + y) / 2.0)
     x = np.asarray(x)
@@ -272,13 +271,13 @@ def pk_cusp_derivative(k: int) -> float:
     an exact integer) rather than from the formula, so the test that the two
     agree bitwise is meaningful.
     """
-    _check_family_index(k, pk_degree(k))
+    _check_family_index(k)
     _, d = chebyshev_T(k, 1.0)
     return float(d / k) ** 5 / 4.0
 
 
 def qk_cusp_derivative(k: int) -> float:
     """|dQ_k/dx| at the right cusp: equals k^5 exactly."""
-    _check_family_index(k, qk_degree(k))
+    _check_family_index(k)
     _, d = chebyshev_T(k, 1.0)
     return float(d / k) ** 5

@@ -467,6 +467,17 @@ def _nested_tops(
     return factors, done
 
 
+def _sweep_points(ns, kind: str, tol, cond_limit, pencil, *args) -> list[FactorPoint]:
+    """The body of the sweeps and one-degree factors, on the pencil
+    pencil(*args, max(ns))."""
+    ns = _degrees(ns)
+    if not ns:
+        return []
+    num, den = pencil(*args, max(ns))
+    _, done = _nested_tops(ns, num, den, kind, tol=tol, cond_limit=cond_limit)
+    return [FactorPoint(n, value, "eigen") for n, value, _, _ in done]
+
+
 def l2_markov_sweep(
     domain: Domain,
     axis: str,
@@ -482,12 +493,7 @@ def l2_markov_sweep(
     relative eigen residual exceeds tol, raises ConditioningError with that
     degree as `n` and the points completed before it as `partial`.
     """
-    ns = _degrees(ns)
-    if not ns:
-        return []
-    num, den = _markov_pencil(domain, axis, max(ns))
-    _, done = _nested_tops(ns, num, den, domain.kind, tol=tol, cond_limit=cond_limit)
-    return [FactorPoint(n, value, "eigen") for n, value, _, _ in done]
+    return _sweep_points(ns, domain.kind, tol, cond_limit, _markov_pencil, domain, axis)
 
 
 def l2_schur_sweep(
@@ -495,12 +501,7 @@ def l2_schur_sweep(
 ) -> list[FactorPoint]:
     """l2_schur_factor for every degree in ns, from one factorization at
     max(ns); aborts as l2_markov_sweep does."""
-    ns = _degrees(ns)
-    if not ns:
-        return []
-    num, den = _schur_pencil(max(ns))
-    _, done = _nested_tops(ns, num, den, "simplex-weighted", tol=tol, cond_limit=cond_limit)
-    return [FactorPoint(n, value, "eigen") for n, value, _, _ in done]
+    return _sweep_points(ns, "simplex-weighted", tol, cond_limit, _schur_pencil)
 
 
 def l2_markov_factor(
@@ -517,12 +518,7 @@ def l2_markov_factor(
     simplex). The value is sqrt of the top eigenvalue of the derivative
     pencil, solved as a one-degree sweep; see the module docstring.
     """
-    [n] = _degrees([n])
-    num, den = _markov_pencil(domain, axis, n)
-    _, [(_, value, _, _)] = _nested_tops(
-        [n], num, den, domain.kind, tol=tol, cond_limit=cond_limit
-    )
-    return FactorPoint(n, value, "eigen")
+    return _sweep_points([n], domain.kind, tol, cond_limit, _markov_pencil, domain, axis)[0]
 
 
 def markov_witness(
@@ -559,13 +555,8 @@ def l2_schur_factor(
     cond_limit: float = COND_LIMIT,
 ) -> FactorPoint:
     """Best constant sup ||P||_{2,w} / ||(v-u) P||_{2,w} over degree <= n
-    on the weighted simplex."""
-    [n] = _degrees([n])
-    num, den = _schur_pencil(n)
-    _, [(_, value, _, _)] = _nested_tops(
-        [n], num, den, "simplex-weighted", tol=tol, cond_limit=cond_limit
-    )
-    return FactorPoint(n, value, "eigen")
+    on the weighted simplex, as a one-degree l2_schur_sweep."""
+    return _sweep_points([n], "simplex-weighted", tol, cond_limit, _schur_pencil)[0]
 
 
 # ---------------------------------------------------------------------------

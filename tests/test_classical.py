@@ -115,6 +115,17 @@ class TestFirstFamily:
         with pytest.raises(ValueError):
             classical.build_pk(25)
 
+    def test_cap_binds_only_the_builders(self):
+        # index 25 is degree 121 (pk) and 122 (qk), past MAX_TOTAL_DEGREE
+        with pytest.raises(ValueError, match="cap"):
+            classical.build_qk(25)
+        assert classical.pk_cusp_derivative(25) == 25**5 / 4.0
+        assert classical.qk_cusp_derivative(25) == float(25**5)
+        assert np.isfinite(classical.pk_value(25, 0.5, 0.0))
+        assert np.isfinite(classical.qk_value(25, 0.5, 0.0))
+        with pytest.raises(ValueError, match="index"):
+            classical.pk_value(0, 0.5, 0.0)
+
 
 class TestSecondFamily:
     def test_degree(self):

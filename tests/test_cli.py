@@ -107,10 +107,23 @@ class TestExtremal:
         assert entry["sha256"] == digest
         assert doc["fit"]["slope"] > 0.0
 
-    def test_degree_cap_is_explicit_error(self):
-        res = run_cli("extremal", "--family", "pk", "--range", "1:40")
-        assert res.returncode == 2
-        assert "degree" in res.stderr.lower()
+    @pytest.mark.parametrize("family,span", [("pk", "23:26"), ("qk", "24:25")])
+    def test_closed_form_rows_past_expansion_cap(self, family, span):
+        """Only the monomial builders cap the degree at 120; the closed-form
+        rows go past it (index 25 gives degree 121 for pk, 122 for qk)."""
+        res = run_cli("extremal", "--family", family, "--range", span)
+        assert res.returncode == 0, res.stderr
+        a, b = map(int, span.split(":"))
+        rows = [r for r in parse_csv(res.stdout) if r and r[0].isdigit()]
+        assert [int(r[0]) for r in rows] == list(range(a, b + 1))
+
+    def test_wn_non_integer_p(self):
+        res = run_cli("extremal", "--family", "wn", "--range", "8:12", "--alpha", "14",
+                      "--l", "3", "--p", "2.5")
+        assert res.returncode == 0, res.stderr
+        rows = [r for r in parse_csv(res.stdout) if r and r[0].isdigit()]
+        assert [int(r[0]) for r in rows] == list(range(8, 13))
+        assert all(float(r[4]) > 0.0 for r in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

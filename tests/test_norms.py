@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from markovlab import classical
-from markovlab.domains import delta_l, koornwinder, quad_rule, simplex_weighted
+from markovlab import classical, norms
+from markovlab.domains import CapacityError, delta_l, koornwinder, quad_rule, simplex_weighted
 from markovlab.norms import (
     NormSpec,
     bernoulli_sandwich,
@@ -17,7 +17,7 @@ from markovlab.norms import (
     wn_norms,
 )
 from markovlab.poly2d import BivariatePoly
-from oracles import cusp_sup_reference, wn_integral_reference
+from oracles import cusp_sup_reference, jacobi_reference, wn_integral_reference
 
 ONE = BivariatePoly([[1.0]])
 X = BivariatePoly.from_terms({(1, 0): 1.0})
@@ -155,8 +155,14 @@ class TestWnIntegral:
         [
             (2, 14.0, 2.0, 3.0, 3),
             (4, 2.0, 2.0, 5.0, 1),
-            (3, 14.0, 3.5, 2.0, 3),  # non-integer p takes the adaptive path
+            (3, 14.0, 3.5, 2.0, 3),  # non-integer p takes the Gauss-Jacobi path
             (5, 6.0, 1.0, 9.0, 3),
+            (4, 14.0, 1.5, 3.0, 3),
+            (8, 14.0, 1.5, 3.0, 3),
+            (12, 14.0, 1.5, 3.0, 3),
+            (4, 14.0, 2.5, 3.0, 3),
+            (8, 14.0, 2.5, 3.0, 3),
+            (12, 14.0, 2.5, 3.0, 3),
         ],
     )
     def test_against_simpson_oracle(self, n, alpha, p, beta, l):
@@ -164,9 +170,68 @@ class TestWnIntegral:
         want = wn_integral_reference(n, alpha, p, beta, l)
         assert got == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "n, p, beta, want",
+        [
+            # mpmath.quad at 30 digits on t = x^(1/l), split at the zeros;
+            # the Simpson oracle under-resolves the narrow peak near x = 1 here
+            (40, 2.5, 3.0, 1.1297550222862863e21),
+            (40, 2.5, 10.5, 187338.1116964625),
+            (60, 3.5, 5.0, 1.1354970130569928e34),
+        ],
+    )
+    def test_non_integer_p_at_high_degree(self, n, p, beta, want):
+        """Pins the Gauss-Jacobi stopping rule where it is loosest: its
+        tolerance grows with n, to about 1e-12 here."""
+        assert wn_1d_integral(n, 14.0, p, beta, 3) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_gauss_jacobi_matches_exact_path(self, p):
+        """At integer p both paths apply: the Gauss-Jacobi panels must agree
+        with the exact Gauss-Legendre ones."""
+        alpha, l = 14.0, 3
+        for n in (0, 1, 4, 9, 12):
+            breaks = norms._wn_breaks(n, alpha, l)
+            for beta in (float(l), (p + 1.0) * l):
+                exact = norms._wn_integral(n, alpha, p, beta, l, breaks)
+                got = norms._wn_gauss_jacobi(n, alpha, p, beta, l, breaks)
+                assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_point_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(norms, "_GJ_MAX_POINTS", 16)
+        with pytest.raises(CapacityError, match="Gauss-Jacobi"):
+            wn_1d_integral(8, 14.0, 2.5, 3.0, 3)
+
     def test_even_l_rejected(self):
         with pytest.raises(ValueError):
             wn_1d_integral(1, 1.0, 2.0, 1.0, 2)
+
+
+class TestJacobiZeros:
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 6.0, 14.0])
+    def test_count_order_and_range(self, alpha):
+        for n in range(61):
+            z = norms._jacobi_zeros_01(n, alpha)
+            assert z.shape == (n // 2,)
+            assert np.all(np.diff(z) > 0.0)
+            assert np.all((z > 0.0) & (z < 1.0))
+
+    def test_legendre_nodes(self):
+        for n in range(61):
+            nodes = np.polynomial.legendre.leggauss(n)[0] if n else np.zeros(0)
+            want = np.sort(nodes[nodes > 1e-8])
+            np.testing.assert_allclose(norms._jacobi_zeros_01(n, 0.0), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 6.0, 14.0])
+    def test_sign_change_at_each_zero(self, alpha):
+        for n in range(2, 21):
+            z = norms._jacobi_zeros_01(n, alpha)
+            ends = np.concatenate([[0.0], z, [1.0]])
+            for i, x in enumerate(z, start=1):
+                d = 1e-3 * min(x - ends[i - 1], ends[i + 1] - x)
+                left = jacobi_reference(n, alpha, alpha, x - d)
+                right = jacobi_reference(n, alpha, alpha, x + d)
+                assert left * right < 0.0, (n, x)
 
 
 def wn_ratio(n, alpha, l, p):
